@@ -19,10 +19,13 @@
 //	cl.Finish(queue)
 //	cl.GetEventProfilingInfo(event, cl.PROFILING_COMMAND_END)
 //
-// All commands in this runtime complete synchronously at the protocol
-// level, so the blocking flag is honored trivially and events are born
-// complete; the semantics match a conformant implementation observed from
-// the host program's perspective.
+// Commands are pipelined: an enqueue returns once its request is on its
+// way to the node, and the returned event completes when the node answers.
+// WaitForEvents, Finish and GetEventProfilingInfo wait for that answer.
+// The blocking flag only matters for reads, which always block for their
+// data. A write copies the caller's bytes before it returns, blocking or
+// not, so the caller may reuse the slice at once — more than OpenCL
+// promises for a non-blocking clEnqueueWriteBuffer.
 package cl
 
 import (
@@ -134,7 +137,8 @@ func SetKernelArg(k *Kernel, index int, value any) error {
 }
 
 // EnqueueWriteBuffer transfers host data to a buffer
-// (clEnqueueWriteBuffer).
+// (clEnqueueWriteBuffer). data is copied before the call returns, so it
+// may be reused immediately even when the write does not block.
 func EnqueueWriteBuffer(q *Queue, b *Mem, _ bool, offset int64, data []byte, waits []*Event) (*Event, error) {
 	return q.EnqueueWrite(b, offset, data, waits...)
 }
@@ -163,9 +167,14 @@ func Finish(q *Queue) error {
 	return err
 }
 
-// WaitForEvents blocks until every event completes (clWaitForEvents).
-// Events are born complete in this runtime, so this validates inputs only.
+// WaitForEvents blocks until every event completes (clWaitForEvents) and
+// reports the first failure.
 func WaitForEvents(events []*Event) error {
+	for _, e := range events {
+		if err := e.Wait(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

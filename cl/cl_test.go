@@ -142,3 +142,59 @@ func TestOpenCLStyleHostProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNonBlockingWriteMayReuseSlice pins the write ownership rule: a
+// non-blocking EnqueueWriteBuffer never references caller memory, so the
+// caller may overwrite its slice right after the call returns and the
+// device still receives the bytes it passed. Chunks below and above the
+// transport's bulk threshold cover both the copied and the by-reference
+// payload paths.
+func TestNonBlockingWriteMayReuseSlice(t *testing.T) {
+	lc, err := haocl.StartLocalCluster(haocl.LocalClusterSpec{
+		UserID: "cl-test", GPUNodes: 1, Kernels: haocl.NewKernelRegistry(), ExecWorkers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	devices := cl.GetDeviceIDs(lc.Platform, cl.DEVICE_TYPE_GPU)
+	context, err := cl.CreateContext(lc.Platform, devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue, err := cl.CreateCommandQueue(context, devices[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{1 << 10, 64 << 10} {
+		const chunks = 8
+		buf, err := cl.CreateBuffer(context, cl.MEM_READ_WRITE, int64(chunk*chunks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, chunk)
+		for i := 0; i < chunks; i++ {
+			for j := range data {
+				data[j] = byte(i + 1)
+			}
+			if _, err := cl.EnqueueWriteBuffer(queue, buf, cl.NON_BLOCKING, int64(i*chunk), data, nil); err != nil {
+				t.Fatal(err)
+			}
+			for j := range data {
+				data[j] = 0xEE
+			}
+		}
+		if err := cl.Finish(queue); err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := cl.EnqueueReadBuffer(queue, buf, cl.BLOCKING, 0, int64(chunk*chunks), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off, b := range out {
+			if want := byte(off/chunk + 1); b != want {
+				t.Fatalf("chunk %d B: byte %d = %#x, want %#x", chunk, off, b, want)
+			}
+		}
+	}
+}

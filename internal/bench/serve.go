@@ -172,6 +172,15 @@ func closeLanes(lanes map[string]*tenantLane) {
 	}
 }
 
+// laneCommands reports the commands each tenant's session has issued.
+func laneCommands(lanes map[string]*tenantLane) map[string]int64 {
+	out := make(map[string]int64, len(lanes))
+	for name, l := range lanes {
+		out[name] = l.sess.Metrics().Commands
+	}
+	return out
+}
+
 // dispatch launches one job no earlier than floor on its tenant's lane and
 // returns the completion instant. The floor event serializes the shared
 // device: each job starts after the previous dispatched job finished,
@@ -317,15 +326,18 @@ func latenciesByTenant(jobs []*serveJob) map[string][]vtime.Duration {
 	return out
 }
 
-// serveRow summarizes one (leg, tenant) cell.
-func serveRow(mode, tenant string, lats []vtime.Duration, wall time.Duration) PipelineRow {
+// serveRow summarizes one (leg, tenant) cell: the jobs' latencies and the
+// commands the cell's sessions issued during the leg's wall time.
+func serveRow(mode, tenant string, lats []vtime.Duration, commands int64, wall time.Duration) PipelineRow {
 	return PipelineRow{
 		Workload:     "Serve",
 		Transport:    "mem",
 		Mode:         mode,
 		Tenant:       tenant,
 		Jobs:         int64(len(lats)),
+		Commands:     commands,
 		WallMS:       float64(wall.Microseconds()) / 1000,
+		CmdsPerSec:   float64(commands) / wall.Seconds(),
 		P50VirtualMS: percentileMS(lats, 0.50),
 		P99VirtualMS: percentileMS(lats, 0.99),
 	}
@@ -406,6 +418,7 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 
 	type legResult struct {
 		byTenant map[string][]vtime.Duration
+		commands map[string]int64
 		makespan vtime.Time
 		arrival0 vtime.Time
 		jobs     int
@@ -435,6 +448,7 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 			return nil, err
 		}
 		defer closeLanes(lanes)
+		before := laneCommands(lanes)
 		sw := startStopwatch()
 		var end vtime.Time
 		if fair {
@@ -445,12 +459,18 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 		if err != nil {
 			return nil, err
 		}
+		wall := sw.elapsed()
+		commands := laneCommands(lanes)
+		for name := range commands {
+			commands[name] -= before[name]
+		}
 		return &legResult{
 			byTenant: latenciesByTenant(merged),
+			commands: commands,
 			makespan: end,
 			arrival0: merged[0].arrival,
 			jobs:     len(merged),
-			wall:     sw.elapsed(),
+			wall:     wall,
 		}, nil
 	}
 
@@ -462,7 +482,7 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 		if err != nil {
 			return nil, err
 		}
-		row := serveRow("solo", t.name, res.byTenant[t.name], res.wall)
+		row := serveRow("solo", t.name, res.byTenant[t.name], res.commands[t.name], res.wall)
 		soloP99[t.name] = row.P99VirtualMS
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -479,14 +499,16 @@ func serveReport(experiment string, jobsPerLight int, quick bool, seed int64) (*
 		}
 		results[leg.mode] = res
 		for _, name := range names {
-			rep.Rows = append(rep.Rows, serveRow(leg.mode, name, res.byTenant[name], res.wall))
+			rep.Rows = append(rep.Rows, serveRow(leg.mode, name, res.byTenant[name], res.commands[name], res.wall))
 		}
 		// Aggregate row carries the leg's saturation throughput.
 		var all []vtime.Duration
+		var commands int64
 		for _, name := range names {
 			all = append(all, res.byTenant[name]...)
+			commands += res.commands[name]
 		}
-		agg := serveRow(leg.mode, "all", all, res.wall)
+		agg := serveRow(leg.mode, "all", all, commands, res.wall)
 		agg.JobsPerVirtSec = float64(res.jobs) / vtime.Duration(res.makespan-res.arrival0).Seconds()
 		agg.VirtualSec = res.makespan.Seconds()
 		rep.Rows = append(rep.Rows, agg)

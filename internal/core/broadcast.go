@@ -142,6 +142,9 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 		b.host = make([]byte, b.size)
 	}
 	copy(b.host, data)
+	// The session-log copy is also every hop's wire payload (see
+	// enqueueWrite): the caller keeps its slice.
+	logged := append([]byte(nil), data...)
 	b.hostValid.Reset()
 	b.hostValid.Add(0, b.size)
 
@@ -168,7 +171,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 				QueueID:    h.qid,
 				BufferID:   h.rb.id,
 				Offset:     0,
-				Data:       data,
+				Data:       logged,
 				SimArrival: int64(arrival),
 				ModelBytes: b.modelSize,
 				WaitEvents: h.chain,
@@ -250,7 +253,7 @@ func (c *Context) broadcast(b *Buffer, data []byte, queues []*Queue) ([]*Event, 
 	c.sess.logCommand(&broadcastLog{
 		c:    c,
 		b:    b,
-		data: append([]byte(nil), data...),
+		data: logged,
 		qs:   append([]*Queue(nil), queues...),
 	})
 	return events, nil

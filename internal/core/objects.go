@@ -692,13 +692,20 @@ func hostRangeOK(off, n, size int64) bool {
 	return off >= 0 && n >= 0 && off <= size && n <= size-off
 }
 
+// wirePayload copies a host-shadow range into a write payload. The
+// transport sends a bulk payload by reference until its frame is written,
+// and later writes update the shadow in place, so the shadow itself is
+// never handed over.
+func wirePayload(shadow []byte) []byte { return append([]byte(nil), shadow...) }
+
 // EnqueueWrite transfers data into the buffer through q's device
 // (clEnqueueWriteBuffer). The host shadow is updated and exactly the
 // written byte range is validated there and on the target replica — and
 // invalidated on every other replica; the transfer is charged to the host
 // NIC model. The command is pipelined: the call returns once the request
 // is on the wire, and the returned event resolves when the node responds.
-// A crash-induced failure recovers and retries transparently.
+// data is copied before the call returns, so the caller may reuse it at
+// once. A crash-induced failure recovers and retries transparently.
 func (q *Queue) EnqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Event) (*Event, error) {
 	var ev *Event
 	err := q.ctx.rt.withRecovery(func() error {
@@ -756,12 +763,16 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	earliest := vtime.Max(b.hostReadyAt, floor)
 	wireStart, arrival := q.ctx.sess.chargeNIC(earliest, controlMsgBytes+modelBytes)
 
+	// The session-log copy is also the wire payload: the transport sends a
+	// bulk payload by reference, so it must be memory the caller cannot
+	// touch, and the log never modifies its copy.
+	logged := append([]byte(nil), data...)
 	resp := new(protocol.EventResp)
 	id, pend := q.ctx.sess.issue(node, &protocol.WriteBufferReq{
 		QueueID:    qid,
 		BufferID:   rb.id,
 		Offset:     offset,
-		Data:       data,
+		Data:       logged,
 		SimArrival: int64(arrival),
 		ModelBytes: modelBytes,
 		WaitEvents: localWaits,
@@ -785,7 +796,7 @@ func (q *Queue) enqueueWrite(b *Buffer, offset int64, data []byte, waits ...*Eve
 	rb.lastEvent = id
 	rb.lastEv = ev
 	// Log under b.mu so the log order matches the issue order per buffer.
-	q.ctx.sess.logCommand(&writeLog{q: q, b: b, off: offset, data: append([]byte(nil), data...)})
+	q.ctx.sess.logCommand(&writeLog{q: q, b: b, off: offset, data: logged})
 	return ev, nil
 }
 
@@ -860,7 +871,7 @@ func (b *Buffer) ensureResident(node *NodeHandle, lo, hi int64) (*remoteBuf, err
 			QueueID:    svcQID,
 			BufferID:   rb.id,
 			Offset:     g.Lo,
-			Data:       b.host[g.Lo:g.Hi],
+			Data:       wirePayload(b.host[g.Lo:g.Hi]),
 			SimArrival: int64(arrival),
 			ModelBytes: modelBytes,
 			WaitEvents: chain,

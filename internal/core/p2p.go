@@ -86,7 +86,7 @@ func (b *Buffer) migrateP2P(node *NodeHandle, rb *remoteBuf, gaps []mem.Range) e
 				QueueID:    svcQID,
 				BufferID:   rb.id,
 				Offset:     r.Lo,
-				Data:       b.host[r.Lo:r.Hi],
+				Data:       wirePayload(b.host[r.Lo:r.Hi]),
 				SimArrival: int64(arrival),
 				ModelBytes: modelBytes,
 				WaitEvents: chain,

@@ -314,6 +314,8 @@ func (s *Session) execPushRange(req *protocol.PushRangeReq, q *queueObj, ev *eve
 		_, arrival = s.node.nicOut.Transfer(rend, modelBytes)
 	}
 
+	// The push's own copy of the range: the transport sends it by
+	// reference, so it must not be the live replica.
 	data := make([]byte, req.Size)
 	buf.mu.RLock()
 	copy(data, buf.data[req.Offset:req.Offset+req.Size])

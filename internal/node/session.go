@@ -837,6 +837,8 @@ func (s *Session) execReadBuffer(req *protocol.ReadBufferReq, q *queueObj, ev *e
 	dur := q.dev.ModelTransfer(modelBytes)
 	q.execMu.Lock()
 	start, end := q.clock.Reserve(arrival, dur)
+	// A fresh copy, not the live buffer: the reply writer sends a bulk
+	// response payload by reference.
 	out := make([]byte, req.Size)
 	buf.mu.RLock()
 	copy(out, buf.data[req.Offset:req.Offset+req.Size])

@@ -1,8 +1,10 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire v3 Batch envelope: one FrameBatch frame carrying a sequence of
@@ -41,28 +43,44 @@ var (
 // kind (1) + reqID (8) + op (2) + body length (4).
 const batchSubHeader = 1 + 8 + 2 + 4
 
-// EncodeBatch packs subs into one Batch envelope frame, preserving order.
-// Sub-frames must themselves be plain (non-batch) frames.
-func EncodeBatch(subs []*Frame) (*Frame, error) {
+// AppendBatch appends one Batch envelope frame carrying subs, in order, to
+// buf and returns the extended slice. The header, the sub-frame count and
+// every sub-frame are written straight into buf, so each body is copied
+// exactly once; coalescing writers pass a reused output buffer. Sub-frames
+// must themselves be plain (non-batch) frames.
+func AppendBatch(buf []byte, subs []*Frame) ([]byte, error) {
 	size := 4
 	for _, f := range subs {
+		if f.Kind == FrameBatch {
+			return buf, ErrNestedBatch
+		}
 		size += batchSubHeader + len(f.Body)
 	}
 	if size > MaxFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, size)
+		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, size)
 	}
-	e := &Encoder{buf: make([]byte, 0, size)}
-	e.U32(uint32(len(subs)))
+	buf = slices.Grow(buf, headerSize+size)
+	buf = appendHeader(buf, FrameBatch, 0, OpBatch, size)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
 	for _, f := range subs {
-		if f.Kind == FrameBatch {
-			return nil, ErrNestedBatch
-		}
-		e.U8(uint8(f.Kind))
-		e.U64(f.ReqID)
-		e.U16(uint16(f.Op))
-		e.Blob(f.Body)
+		buf = append(buf, byte(f.Kind))
+		buf = binary.BigEndian.AppendUint64(buf, f.ReqID)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(f.Op))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Body)))
+		buf = append(buf, f.Body...)
 	}
-	return &Frame{Kind: FrameBatch, Op: OpBatch, Body: e.Bytes()}, nil
+	return buf, nil
+}
+
+// EncodeBatch packs subs into one Batch envelope frame, preserving order:
+// AppendBatch for callers that want the envelope as a Frame (the
+// benchmark's codec replay re-encodes captured traffic through it).
+func EncodeBatch(subs []*Frame) (*Frame, error) {
+	buf, err := AppendBatch(nil, subs)
+	if err != nil {
+		return nil, err
+	}
+	return &Frame{Kind: FrameBatch, Op: OpBatch, Body: buf[headerSize:]}, nil
 }
 
 // DecodeBatch unpacks a Batch envelope into its sub-frames, in order.

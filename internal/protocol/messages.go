@@ -598,10 +598,20 @@ func (m *WriteBufferReq) SetEventID(id uint64) { m.EventID = id }
 
 // MarshalBody implements Message.
 func (m *WriteBufferReq) MarshalBody(e *Encoder) {
+	m.marshalHead(e)
+	e.Blob(m.Data)
+	m.marshalTail(e)
+}
+
+func (m *WriteBufferReq) payload() []byte { return m.Data }
+
+func (m *WriteBufferReq) marshalHead(e *Encoder) {
 	e.U64(m.QueueID)
 	e.U64(m.BufferID)
 	e.I64(m.Offset)
-	e.Blob(m.Data)
+}
+
+func (m *WriteBufferReq) marshalTail(e *Encoder) {
 	e.I64(m.SimArrival)
 	e.U64(m.EventID)
 	e.I64(m.ModelBytes)
@@ -613,7 +623,7 @@ func (m *WriteBufferReq) UnmarshalBody(d *Decoder) {
 	m.QueueID = d.U64()
 	m.BufferID = d.U64()
 	m.Offset = d.I64()
-	m.Data = d.Blob()
+	m.Data = d.Payload()
 	m.SimArrival = d.I64()
 	m.EventID = d.U64()
 	m.ModelBytes = d.I64()
@@ -699,13 +709,21 @@ func (*ReadBufferResp) Op() Op { return OpReadBuffer }
 // MarshalBody implements Message.
 func (m *ReadBufferResp) MarshalBody(e *Encoder) {
 	e.Blob(m.Data)
+	m.marshalTail(e)
+}
+
+func (m *ReadBufferResp) payload() []byte { return m.Data }
+
+func (*ReadBufferResp) marshalHead(*Encoder) {}
+
+func (m *ReadBufferResp) marshalTail(e *Encoder) {
 	e.U64(m.EventID)
 	m.Profile.marshal(e)
 }
 
 // UnmarshalBody implements Message.
 func (m *ReadBufferResp) UnmarshalBody(d *Decoder) {
-	m.Data = d.Blob()
+	m.Data = d.Payload()
 	m.EventID = d.U64()
 	m.Profile.unmarshal(d)
 }
@@ -844,15 +862,21 @@ func (*PeerPushReq) Op() Op { return OpPeerPush }
 
 // MarshalBody implements Message.
 func (m *PeerPushReq) MarshalBody(e *Encoder) {
-	e.U64(m.Token)
+	m.marshalHead(e)
 	e.Blob(m.Data)
-	e.I64(m.SimArrival)
+	m.marshalTail(e)
 }
+
+func (m *PeerPushReq) payload() []byte { return m.Data }
+
+func (m *PeerPushReq) marshalHead(e *Encoder) { e.U64(m.Token) }
+
+func (m *PeerPushReq) marshalTail(e *Encoder) { e.I64(m.SimArrival) }
 
 // UnmarshalBody implements Message.
 func (m *PeerPushReq) UnmarshalBody(d *Decoder) {
 	m.Token = d.U64()
-	m.Data = d.Blob()
+	m.Data = d.Payload()
 	m.SimArrival = d.I64()
 }
 
@@ -1289,6 +1313,44 @@ func EncodeMessage(m Message) []byte {
 	e := NewEncoder()
 	m.MarshalBody(e)
 	return e.Bytes()
+}
+
+// bulkMessage is implemented by the messages that carry one bulk payload
+// (WriteBufferReq, PeerPushReq, ReadBufferResp): the body is the head
+// fields, the payload as a blob, then the tail fields. Their decoders read
+// the payload with Decoder.Payload.
+type bulkMessage interface {
+	payload() []byte
+	marshalHead(e *Encoder)
+	marshalTail(e *Encoder)
+}
+
+// The bulk messages.
+var (
+	_ bulkMessage = (*WriteBufferReq)(nil)
+	_ bulkMessage = (*PeerPushReq)(nil)
+	_ bulkMessage = (*ReadBufferResp)(nil)
+)
+
+// EncodeByRef encodes m as a frame body whose wire bytes equal
+// EncodeMessage(m), without copying a bulk payload. For a message carrying
+// a payload above BatchableBodyLimit, body ends with the payload's length
+// prefix and bulk holds the payload itself, by reference, and the encoded
+// fields after it; such a frame travels alone (WriteFrameTo), so the
+// payload is never staged. The caller must not modify the payload after
+// handing it over: the frame may be written at any later time. For every
+// other message bulk is nil and body is EncodeMessage(m).
+func EncodeByRef(m Message) (body []byte, bulk *Bulk) {
+	bm, ok := m.(bulkMessage)
+	if !ok || len(bm.payload()) <= BatchableBodyLimit {
+		return EncodeMessage(m), nil
+	}
+	e := NewEncoder()
+	bm.marshalHead(e)
+	e.U32(uint32(len(bm.payload())))
+	n := len(e.buf)
+	bm.marshalTail(e)
+	return e.buf[:n:n], &Bulk{Payload: bm.payload(), Tail: e.buf[n:]}
 }
 
 // DecodeMessage unmarshals body into m, reporting truncation errors.

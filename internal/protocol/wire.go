@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 )
 
 // Protocol limits. MaxFrameSize bounds a single message so a corrupted
@@ -52,7 +53,7 @@ const (
 type FrameKind uint8
 
 // Frame kinds. FrameBatch (wire v3) envelopes a sequence of request or
-// response frames in one wire frame; see EncodeBatch.
+// response frames in one wire frame; see AppendBatch.
 const (
 	FrameRequest FrameKind = iota + 1
 	FrameResponse
@@ -91,17 +92,13 @@ type Frame struct {
 // the unit coalescing writers budget their queues in.
 func FrameWireSize(f *Frame) int { return headerSize + len(f.Body) }
 
-// appendHeader appends f's frame header to buf.
-func appendHeader(buf []byte, f *Frame) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, headerSize)...)
-	binary.BigEndian.PutUint16(buf[off:off+2], Magic)
-	buf[off+2] = frameVersion(f.Kind)
-	buf[off+3] = byte(f.Kind)
-	binary.BigEndian.PutUint64(buf[off+4:off+12], f.ReqID)
-	binary.BigEndian.PutUint16(buf[off+12:off+14], uint16(f.Op))
-	binary.BigEndian.PutUint32(buf[off+14:off+18], uint32(len(f.Body)))
-	return buf
+// appendHeader appends a frame header announcing a body of n bytes.
+func appendHeader(buf []byte, kind FrameKind, reqID uint64, op Op, n int) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, Magic)
+	buf = append(buf, frameVersion(kind), byte(kind))
+	buf = binary.BigEndian.AppendUint64(buf, reqID)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(op))
+	return binary.BigEndian.AppendUint32(buf, uint32(n))
 }
 
 // AppendFrame appends f's wire encoding (header + body) to buf and returns
@@ -111,23 +108,48 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	if len(f.Body) > MaxFrameSize {
 		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(f.Body))
 	}
-	return append(appendHeader(buf, f), f.Body...), nil
+	buf = slices.Grow(buf, headerSize+len(f.Body))
+	return append(appendHeader(buf, f.Kind, f.ReqID, f.Op, len(f.Body)), f.Body...), nil
 }
 
-// WriteFrameTo writes f without copying its body, using vectored I/O when
-// w supports it (net.Buffers uses writev on real sockets). Coalescing
-// writers use it for bulk frames, where WriteFrame's single-buffer copy
-// would double the payload's memory footprint for no syscall win.
-func WriteFrameTo(w io.Writer, f *Frame) error {
-	if len(f.Body) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(f.Body))
+// Bulk is the by-reference rest of a bulk frame's body. A frame whose Body
+// ends with a payload's length prefix continues on the wire with Payload
+// and then Tail; EncodeByRef splits a message this way and WriteFrameTo
+// sends it without copying Payload.
+type Bulk struct {
+	Payload []byte
+	Tail    []byte
+}
+
+// Len reports how many body bytes b adds to its frame (0 for nil).
+func (b *Bulk) Len() int {
+	if b == nil {
+		return 0
 	}
-	hdr := appendHeader(make([]byte, 0, headerSize), f)
-	if len(f.Body) == 0 {
-		_, err := w.Write(hdr)
-		return err
+	return len(b.Payload) + len(b.Tail)
+}
+
+// WriteFrameTo writes f, its body continued by b (nil for a plain frame),
+// without copying the body or the payload: the header and every non-empty
+// segment go out as one vectored write (net.Buffers uses writev on real
+// sockets). Coalescing writers use it for bulk frames, where a staging
+// copy would double the payload's memory footprint for no syscall win.
+func WriteFrameTo(w io.Writer, f *Frame, b *Bulk) error {
+	n := len(f.Body) + b.Len()
+	if n > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	bufs := net.Buffers{hdr, f.Body}
+	segs := [...][]byte{f.Body, nil, nil}
+	if b != nil {
+		segs[1], segs[2] = b.Payload, b.Tail
+	}
+	bufs := make(net.Buffers, 1, 1+len(segs))
+	bufs[0] = appendHeader(make([]byte, 0, headerSize), f.Kind, f.ReqID, f.Op, n)
+	for _, seg := range segs {
+		if len(seg) > 0 {
+			bufs = append(bufs, seg)
+		}
+	}
 	_, err := bufs.WriteTo(w)
 	return err
 }
@@ -136,7 +158,7 @@ func WriteFrameTo(w io.Writer, f *Frame) error {
 // in the same syscall batch as the header via a single buffer to keep the
 // backbone's per-message overhead low.
 func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := AppendFrame(make([]byte, 0, headerSize+len(f.Body)), f)
+	buf, err := AppendFrame(nil, f)
 	if err != nil {
 		return err
 	}
@@ -352,7 +374,17 @@ func (d *Decoder) Str() string {
 // Blob reads a length-prefixed byte slice. The result is a copy so message
 // structs do not alias transport buffers; zero-length blobs decode to nil
 // so encode/decode round trips are identity on the struct level.
-func (d *Decoder) Blob() []byte {
+func (d *Decoder) Blob() []byte { return d.blob(false) }
+
+// Payload reads a length-prefixed bulk payload. Above BatchableBodyLimit
+// it aliases the decoder's buffer in place, with its capacity clipped so
+// an append reallocates instead of overwriting the bytes that follow;
+// such a payload arrived alone in its own frame, whose body nothing else
+// reuses. At or below the limit it is copied like Blob: small payloads
+// ride shared envelopes.
+func (d *Decoder) Payload() []byte { return d.blob(true) }
+
+func (d *Decoder) blob(inPlace bool) []byte {
 	n := int(d.U32())
 	if n == 0 {
 		return nil
@@ -360,6 +392,9 @@ func (d *Decoder) Blob() []byte {
 	b := d.take(n)
 	if b == nil {
 		return nil
+	}
+	if inPlace && n > BatchableBodyLimit {
+		return b[:n:n]
 	}
 	out := make([]byte, n)
 	copy(out, b)

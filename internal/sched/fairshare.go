@@ -21,8 +21,7 @@ import (
 // sequence is a pure function of the submission sequence, the weights and
 // the quantum. The serve benchmark replays seeded arrivals through a
 // single-threaded event loop and asserts bit-identical virtual latencies
-// across runs; the Admission wrapper adds blocking semantics for live
-// concurrent sessions without touching the grant order logic.
+// across runs.
 
 // FairItem is one unit of admitted work.
 type FairItem struct {
@@ -234,61 +233,4 @@ func (f *FairQueue) weightOf(tenant string) int64 {
 		return w
 	}
 	return 1
-}
-
-// Admission wraps a FairQueue with blocking semantics for live concurrent
-// sessions: Acquire parks the calling goroutine until the fair queue grants
-// its slot, Release hands the slot back. The grant order is exactly the
-// FairQueue's DRR order; Admission only adds the parking.
-type Admission struct {
-	fq *FairQueue
-
-	mu          sync.Mutex
-	maxInflight int
-	inflight    int
-}
-
-// NewAdmission wraps fq, bounding the total released-and-unreleased slots
-// across all tenants at maxInflight (≥1).
-func NewAdmission(fq *FairQueue, maxInflight int) *Admission {
-	if maxInflight < 1 {
-		maxInflight = 1
-	}
-	return &Admission{fq: fq, maxInflight: maxInflight}
-}
-
-// Acquire blocks until the fair queue admits one unit of the tenant's work.
-func (a *Admission) Acquire(tenant string, cost vtime.Duration) {
-	grant := make(chan struct{})
-	a.fq.Submit(FairItem{Tenant: tenant, Cost: cost, Payload: grant})
-	a.pump()
-	<-grant
-}
-
-// Release returns tenant's slot and wakes the next admissible waiter.
-func (a *Admission) Release(tenant string) {
-	a.fq.Done(tenant)
-	a.mu.Lock()
-	a.inflight--
-	a.mu.Unlock()
-	a.pump()
-}
-
-// pump grants as many waiters as the global bound allows, in DRR order.
-func (a *Admission) pump() {
-	for {
-		a.mu.Lock()
-		if a.inflight >= a.maxInflight {
-			a.mu.Unlock()
-			return
-		}
-		item, ok := a.fq.Next()
-		if !ok {
-			a.mu.Unlock()
-			return
-		}
-		a.inflight++
-		a.mu.Unlock()
-		close(item.Payload.(chan struct{}))
-	}
 }

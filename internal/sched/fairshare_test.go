@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/haocl-project/haocl/internal/vtime"
@@ -138,57 +137,5 @@ func TestFairQueueDeterministicGrantOrder(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("grant %d differs across identical runs: %q vs %q", i, first[i], second[i])
 		}
-	}
-}
-
-func TestAdmissionBlocksUntilSlotFree(t *testing.T) {
-	fq := NewFairQueue(10)
-	adm := NewAdmission(fq, 1)
-	adm.Acquire("a", 10)
-
-	done := make(chan struct{})
-	go func() {
-		adm.Acquire("b", 10)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("second Acquire returned while the only slot was held")
-	default:
-	}
-	adm.Release("a")
-	<-done
-	adm.Release("b")
-}
-
-func TestAdmissionConcurrentTenants(t *testing.T) {
-	fq := NewFairQueue(10)
-	adm := NewAdmission(fq, 4)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	inflight, peak := 0, 0
-	for i := 0; i < 8; i++ {
-		tenant := []string{"a", "b"}[i%2]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				adm.Acquire(tenant, 10)
-				mu.Lock()
-				inflight++
-				if inflight > peak {
-					peak = inflight
-				}
-				mu.Unlock()
-				mu.Lock()
-				inflight--
-				mu.Unlock()
-				adm.Release(tenant)
-			}
-		}()
-	}
-	wg.Wait()
-	if peak > 4 {
-		t.Fatalf("peak inflight %d exceeded admission bound 4", peak)
 	}
 }

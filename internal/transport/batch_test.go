@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -25,6 +26,15 @@ func parseStream(t *testing.T, b []byte) []*protocol.Frame {
 		frames = append(frames, f)
 	}
 	return frames
+}
+
+// writeCoalesced ships plain frames through a fresh frameWriter.
+func writeCoalesced(w io.Writer, frames []*protocol.Frame) error {
+	out := make([]outFrame, len(frames))
+	for i, f := range frames {
+		out[i] = outFrame{Frame: f}
+	}
+	return (&frameWriter{w: w}).write(out)
 }
 
 // TestWriteCoalesced checks the client-side packing policy directly: runs
@@ -124,6 +134,46 @@ func TestWriteCoalesced(t *testing.T) {
 			t.Fatalf("byte threshold ignored: %d wire frames", len(frames))
 		}
 	})
+}
+
+// TestFrameWriterBulkByReference writes by-reference bulk frames between
+// small ones: every frame body must equal its EncodeMessage encoding, the
+// bulk frames must travel plain, and the small frames before them must
+// still share an envelope.
+func TestFrameWriterBulkByReference(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, protocol.BatchableBodyLimit+1)
+	msgs := []protocol.Message{
+		&protocol.WriteBufferReq{Data: []byte{1}},
+		&protocol.WriteBufferReq{Data: []byte{2}},
+		&protocol.WriteBufferReq{QueueID: 3, Data: payload, WaitEvents: []int64{4}},
+		&protocol.ReadBufferResp{Data: payload, EventID: 5},
+		&protocol.WriteBufferReq{Data: []byte{6}},
+	}
+	frames := make([]outFrame, len(msgs))
+	for i, m := range msgs {
+		frames[i] = encodeFrame(protocol.FrameRequest, uint64(i+1), m.Op(), m)
+	}
+	if frames[2].bulk == nil || frames[3].bulk == nil {
+		t.Fatal("bulk payloads were not split off by reference")
+	}
+	var buf bytes.Buffer
+	if err := (&frameWriter{w: &buf}).write(frames); err != nil {
+		t.Fatal(err)
+	}
+	got := parseStream(t, buf.Bytes())
+	if len(got) != 4 || got[0].Kind != protocol.FrameBatch {
+		t.Fatalf("got %d wire frames, want envelope+plain+plain+plain", len(got))
+	}
+	wire, err := protocol.DecodeBatch(got[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire = append(wire, got[1:]...)
+	for i, f := range wire {
+		if f.ReqID != uint64(i+1) || !bytes.Equal(f.Body, protocol.EncodeMessage(msgs[i])) {
+			t.Fatalf("frame %d: body differs from EncodeMessage", i+1)
+		}
+	}
 }
 
 // TestBatchedClientRoundTrip hammers a batching client from many

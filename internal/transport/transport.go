@@ -96,12 +96,12 @@ type Client struct {
 	// without holding it: once batching is on, every frame goes through
 	// the queue, so the two write paths never overlap.
 	writeMu    sync.Mutex
-	writeCh    *sync.Cond        // wakes the writer when frames are queued
-	spaceCh    *sync.Cond        // wakes producers when the queue drains
-	queue      []*protocol.Frame // guarded by writeMu
-	queueBytes int               // guarded by writeMu
-	batching   bool              // guarded by writeMu
-	sendDead   bool              // guarded by writeMu; write side failed or closed, queue abandoned
+	writeCh    *sync.Cond // wakes the writer when frames are queued
+	spaceCh    *sync.Cond // wakes producers when the queue drains
+	queue      []outFrame // guarded by writeMu
+	queueBytes int        // guarded by writeMu
+	batching   bool       // guarded by writeMu
+	sendDead   bool       // guarded by writeMu; write side failed or closed, queue abandoned
 
 	mu      sync.Mutex
 	pending map[uint64]chan *protocol.Frame // guarded by mu
@@ -196,8 +196,11 @@ func (c *Client) deliver(f *protocol.Frame) {
 // flight, and ships the whole run in one write. Flushing is purely
 // drain-driven — a lone frame on an idle connection goes out immediately;
 // batches only form when the producer outpaces the writer, which is
-// exactly when coalescing pays.
+// exactly when coalescing pays. The drained queue slice comes back as the
+// next queue, so a steady stream reuses two slices and one output buffer.
 func (c *Client) writeLoop() {
+	fw := &frameWriter{w: c.conn}
+	var spare []outFrame
 	for {
 		c.writeMu.Lock()
 		for len(c.queue) == 0 && !c.sendDead {
@@ -208,11 +211,11 @@ func (c *Client) writeLoop() {
 			return
 		}
 		run := c.queue
-		c.queue = nil
+		c.queue = spare[:0]
 		c.queueBytes = 0
 		c.spaceCh.Broadcast()
 		c.writeMu.Unlock()
-		if err := writeCoalesced(c.conn, run); err != nil {
+		if err := fw.write(run); err != nil {
 			// Queued frames are pre-validated, so this is an I/O failure:
 			// the connection is gone. Close it so the read side unwinds
 			// and the peer's session is released.
@@ -220,90 +223,87 @@ func (c *Client) writeLoop() {
 			c.conn.Close()
 			return
 		}
+		clear(run) // written: let the frames and payloads go
+		spare = run
 	}
 }
 
-// runCoalescer accumulates a run of small frames up to the envelope
-// thresholds. Both directions of the batching path — the client's
-// coalescing writer and the server's batched-response flush — share it,
-// so the packing policy exists exactly once.
-type runCoalescer struct {
-	run      []*protocol.Frame
-	runBytes int
+// outFrame is one frame on its way to the wire. A bulk frame's payload
+// and trailing fields ride by reference in bulk (protocol.EncodeByRef);
+// every other frame leaves bulk nil and carries its whole body in Frame.
+type outFrame struct {
+	*protocol.Frame
+	bulk *protocol.Bulk
 }
 
-// add appends one batchable frame to the run.
-func (r *runCoalescer) add(f *protocol.Frame) {
-	r.run = append(r.run, f)
-	r.runBytes += len(f.Body)
+// encodeFrame builds the outgoing frame for one message.
+func encodeFrame(kind protocol.FrameKind, reqID uint64, op protocol.Op, m protocol.Message) outFrame {
+	body, bulk := protocol.EncodeByRef(m)
+	return outFrame{&protocol.Frame{Kind: kind, ReqID: reqID, Op: op, Body: body}, bulk}
 }
 
-// full reports whether the run must flush before taking more frames.
-func (r *runCoalescer) full() bool {
-	return len(r.run) >= protocol.MaxBatchMessages || r.runBytes >= protocol.MaxBatchBytes
+// bodyLen reports the frame's whole body length on the wire.
+func (f outFrame) bodyLen() int { return len(f.Body) + f.bulk.Len() }
+
+// frameWriter ships frames to one connection in order, packing runs of
+// small frames into Batch envelopes. Both directions of the batching path
+// — the client's coalescing writer and the server's reply writer — use
+// it, so the packing policy exists exactly once. Envelopes and plain
+// frames are appended straight into one reused output buffer, so a small
+// body is copied once, from its frame into the bytes handed to Write.
+// Frames whose body exceeds BatchableBodyLimit are written alone with
+// vectored I/O and never staged: bulk payloads amortize their own
+// syscall, would blow up envelope sizes, and a staging copy would double
+// their memory footprint. A frameWriter is not safe for concurrent use.
+type frameWriter struct {
+	w        io.Writer
+	out      []byte            // reused output buffer
+	run      []*protocol.Frame // batchable frames awaiting flush
+	runBytes int               // body bytes in run
 }
 
-// take returns the accumulated run and resets the coalescer.
-func (r *runCoalescer) take() []*protocol.Frame {
-	run := r.run
-	r.run, r.runBytes = nil, 0
-	return run
-}
-
-// appendRun appends run to buf as one wire unit: a single frame goes
-// plain, several become a Batch envelope.
-func appendRun(buf []byte, run []*protocol.Frame) ([]byte, error) {
-	switch len(run) {
-	case 0:
-		return buf, nil
-	case 1:
-		return protocol.AppendFrame(buf, run[0])
-	}
-	env, err := protocol.EncodeBatch(run)
-	if err != nil {
-		return buf, err
-	}
-	return protocol.AppendFrame(buf, env)
-}
-
-// writeCoalesced writes frames in order, packing runs of small frames
-// into Batch envelopes shipped with one Write each. Frames with bodies
-// above BatchableBodyLimit are written plain, in place, without copying
-// the body into a staging buffer (vectored I/O): bulk payloads amortize
-// their own syscall, would blow up envelope sizes, and a staging copy
-// would double their memory footprint.
-func writeCoalesced(w io.Writer, frames []*protocol.Frame) error {
-	var out []byte
-	var rc runCoalescer
-	flush := func() error {
-		var err error
-		if out, err = appendRun(out[:0], rc.take()); err != nil {
-			return err
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		_, err = w.Write(out)
-		return err
-	}
+// write ships frames in order.
+func (fw *frameWriter) write(frames []outFrame) error {
 	for _, f := range frames {
-		if len(f.Body) > protocol.BatchableBodyLimit {
-			if err := flush(); err != nil {
+		if f.bodyLen() > protocol.BatchableBodyLimit {
+			if err := fw.flush(); err != nil {
 				return err
 			}
-			if err := protocol.WriteFrameTo(w, f); err != nil {
+			if err := protocol.WriteFrameTo(fw.w, f.Frame, f.bulk); err != nil {
 				return err
 			}
 			continue
 		}
-		rc.add(f)
-		if rc.full() {
-			if err := flush(); err != nil {
+		fw.run = append(fw.run, f.Frame)
+		fw.runBytes += len(f.Body)
+		if len(fw.run) >= protocol.MaxBatchMessages || fw.runBytes >= protocol.MaxBatchBytes {
+			if err := fw.flush(); err != nil {
 				return err
 			}
 		}
 	}
-	return flush()
+	return fw.flush()
+}
+
+// flush writes the pending run as one wire unit: a single frame goes
+// plain, several become a Batch envelope.
+func (fw *frameWriter) flush() error {
+	var err error
+	switch len(fw.run) {
+	case 0:
+		return nil
+	case 1:
+		fw.out, err = protocol.AppendFrame(fw.out[:0], fw.run[0])
+	default:
+		fw.out, err = protocol.AppendBatch(fw.out[:0], fw.run)
+	}
+	clear(fw.run)
+	fw.run, fw.runBytes = fw.run[:0], 0
+	if err != nil {
+		return err
+	}
+	_, err = fw.w.Write(fw.out)
+	return err
 }
 
 // killWrites abandons the write side; queued frames die with the
@@ -387,6 +387,10 @@ type Pending struct {
 // With batching negotiated, Go returns once the frame is queued to the
 // coalescing writer; the queue preserves Go-call order.
 //
+// A bulk payload (a WriteBufferReq or PeerPushReq above
+// protocol.BatchableBodyLimit) is sent by reference, not copied: the
+// caller hands it over and must never modify it afterwards.
+//
 // haoclvet:wire
 func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 	p := &Pending{c: c, op: req.Op(), resp: resp, ch: make(chan *protocol.Frame, 1)}
@@ -405,18 +409,13 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 	c.pending[id] = p.ch
 	c.mu.Unlock()
 
-	frame := &protocol.Frame{
-		Kind:  protocol.FrameRequest,
-		ReqID: id,
-		Op:    req.Op(),
-		Body:  protocol.EncodeMessage(req),
-	}
-	if len(frame.Body) > protocol.MaxFrameSize {
+	frame := encodeFrame(protocol.FrameRequest, id, req.Op(), req)
+	if n := frame.bodyLen(); n > protocol.MaxFrameSize {
 		// Reject before queueing so an unsendable frame fails only its
 		// own call — on the coalescing path a late size error would be
 		// connection-fatal.
 		c.forget(id)
-		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, len(frame.Body)))
+		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, n))
 		return p
 	}
 	c.writeMu.Lock()
@@ -434,12 +433,17 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 		// Count the wire size, not just the body: zero-body control
 		// frames (status polls, shutdown) must still hit the cap, or a
 		// producer outpacing a stalled writer queues without bound.
-		c.queueBytes += protocol.FrameWireSize(frame)
+		c.queueBytes += protocol.FrameWireSize(frame.Frame) + frame.bulk.Len()
 		c.writeCh.Signal()
 		c.writeMu.Unlock()
 		return p
 	}
-	err := protocol.WriteFrame(c.conn, frame)
+	var err error
+	if frame.bulk != nil {
+		err = protocol.WriteFrameTo(c.conn, frame.Frame, frame.bulk)
+	} else {
+		err = protocol.WriteFrame(c.conn, frame.Frame)
+	}
 	c.writeMu.Unlock()
 	if err != nil {
 		c.forget(id)
@@ -655,7 +659,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 					return // malformed envelope: framing is poisoned
 				}
 				env := &respEnvelope{
-					frames:    make([]*protocol.Frame, len(subs)),
+					frames:    make([]outFrame, len(subs)),
 					remaining: len(subs),
 				}
 				for i, sub := range subs {
@@ -696,7 +700,7 @@ type serverJob struct {
 // coalesced unit when the last response lands, with each response in its
 // request's position.
 type respEnvelope struct {
-	frames    []*protocol.Frame
+	frames    []outFrame
 	remaining int
 }
 
@@ -705,28 +709,28 @@ type respEnvelope struct {
 // waits behind another lane's execution — while requests from a Batch
 // envelope are held until the whole envelope has completed and then
 // written as one coalesced run (bulk responses inside it still travel
-// alone, via the shared packing policy in writeCoalesced). Out-of-order
+// alone, via the shared packing policy in frameWriter). Out-of-order
 // completion across envelopes is fine: the client correlates responses by
 // request ID.
 type replyWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
+	mu sync.Mutex
+	fw frameWriter // guarded by mu
 }
 
 // complete delivers one finished request's response frame. Write failures
 // mean the peer vanished; the read loop notices and cleans the connection
 // up, so the errors need no second handling.
-func (w *replyWriter) complete(j serverJob, out *protocol.Frame) {
+func (w *replyWriter) complete(j serverJob, out outFrame) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if j.env == nil {
-		_ = protocol.WriteFrame(w.conn, out)
+		_ = w.fw.write([]outFrame{out})
 		return
 	}
 	j.env.frames[j.idx] = out
 	j.env.remaining--
 	if j.env.remaining == 0 {
-		_ = writeCoalesced(w.conn, j.env.frames)
+		_ = w.fw.write(j.env.frames)
 	}
 }
 
@@ -736,7 +740,7 @@ func (w *replyWriter) complete(j serverJob, out *protocol.Frame) {
 // a plain Handler executes inline, preserving the strict per-connection
 // FIFO of the pre-lane runtime.
 func (s *Server) dispatchLoop(conn net.Conn, handler Handler, jobs <-chan serverJob) {
-	w := &replyWriter{conn: conn}
+	w := &replyWriter{fw: frameWriter{w: conn}}
 	async, _ := handler.(AsyncHandler)
 	for j := range jobs {
 		j := j
@@ -751,21 +755,22 @@ func (s *Server) dispatchLoop(conn net.Conn, handler Handler, jobs <-chan server
 	}
 }
 
-// responseFrame packages one request's outcome as its response frame.
-func responseFrame(req *protocol.Frame, resp protocol.Message, err error) *protocol.Frame {
-	out := &protocol.Frame{Kind: protocol.FrameResponse, ReqID: req.ReqID, Op: req.Op}
+// responseFrame packages one request's outcome as its response frame. A
+// bulk response payload (a node's fresh read copy) is sent by reference.
+func responseFrame(req *protocol.Frame, resp protocol.Message, err error) outFrame {
 	if err != nil {
-		out.Op = protocol.OpError
 		var re *protocol.RemoteError
 		code := uint32(1)
 		if errors.As(err, &re) {
 			code = re.Code
 		}
-		out.Body = protocol.EncodeMessage(&protocol.ErrorResp{Code: code, Message: err.Error()})
-	} else if resp != nil {
-		out.Body = protocol.EncodeMessage(resp)
+		return encodeFrame(protocol.FrameResponse, req.ReqID, protocol.OpError,
+			&protocol.ErrorResp{Code: code, Message: err.Error()})
 	}
-	return out
+	if resp == nil {
+		return outFrame{Frame: &protocol.Frame{Kind: protocol.FrameResponse, ReqID: req.ReqID, Op: req.Op}}
+	}
+	return encodeFrame(protocol.FrameResponse, req.ReqID, req.Op, resp)
 }
 
 // Close stops accepting, closes every connection and waits for in-flight
