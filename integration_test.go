@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	haocl "github.com/haocl-project/haocl"
 	"github.com/haocl-project/haocl/internal/apps"
@@ -147,11 +148,12 @@ func TestMultiUserExclusiveDeviceOverTCP(t *testing.T) {
 		t.Fatalf("bob's queue on alice's exclusive device: err = %v", err)
 	}
 
-	// Alice disconnecting frees the device for Bob.
+	// Alice disconnecting frees the device for Bob. The node notices the
+	// closed connection asynchronously, so poll against a wall-clock
+	// deadline: a fixed retry count shrinks as round trips get faster.
 	alice.Close()
-	deadline := 200
-	for ; deadline > 0; deadline-- {
-		if _, err = ctxB.CreateQueue(bob.Devices(haocl.GPU)[0]); err == nil {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err = ctxB.CreateQueue(bob.Devices(haocl.GPU)[0]); err == nil || time.Now().After(deadline) {
 			break
 		}
 	}
