@@ -11,7 +11,6 @@
 //	haocl-bench -exp overhead   # §IV-B single-node overhead
 //	haocl-bench -exp ablation   # design-choice ablations (DESIGN.md)
 //	haocl-bench -exp pipeline   # async pipelining: sync vs pipelined enqueue
-//	haocl-bench -exp batch      # wire-frame batching: sync vs pipelined vs batched
 //	haocl-bench -exp lanes      # per-queue dispatch lanes: 1-lane vs per-queue node
 //	haocl-bench -exp coherence  # range coherence: full-buffer vs delta migration
 //	haocl-bench -exp p2p        # p2p data plane: host-relay vs direct node→node migration
@@ -24,7 +23,7 @@
 //
 // All reported durations are virtual time from the calibrated device and
 // network models; see DESIGN.md §1 for the methodology. The -json output
-// of the pipeline, batch, lanes, coherence, p2p, chaos and serve
+// of the pipeline, lanes, coherence, p2p, chaos and serve
 // experiments is the format committed as the BENCH_*.json perf baselines
 // at the repository root and uploaded as a CI artifact by the bench-smoke
 // job.
@@ -57,9 +56,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("haocl-bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: table1, fig2, hetero, fig3, overhead, ablation, pipeline, batch, lanes, coherence, p2p, chaos, serve, serve-trace, all")
+		exp      = fs.String("exp", "all", "experiment: table1, fig2, hetero, fig3, overhead, ablation, pipeline, lanes, coherence, p2p, chaos, serve, serve-trace, all")
 		quick    = fs.Bool("quick", false, "reduced sweeps for a fast look")
-		jsonOut  = fs.Bool("json", false, "emit the result as JSON (pipeline, batch, lanes, coherence, p2p, chaos and serve)")
+		jsonOut  = fs.Bool("json", false, "emit the result as JSON (pipeline, lanes, coherence, p2p, chaos and serve)")
 		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -90,8 +89,6 @@ func run(args []string) error {
 		switch *exp {
 		case "pipeline":
 			rep, err = bench.PipelineReport(*quick)
-		case "batch":
-			rep, err = bench.BatchReport(*quick)
 		case "lanes":
 			rep, err = bench.LanesReport(*quick)
 		case "coherence":
@@ -105,7 +102,7 @@ func run(args []string) error {
 		case "serve-trace":
 			rep, err = bench.ServeTraceReport(1)
 		default:
-			return fmt.Errorf("-json supports -exp pipeline, batch, lanes, coherence, p2p, chaos, serve and serve-trace, not %q", *exp)
+			return fmt.Errorf("-json supports -exp pipeline, lanes, coherence, p2p, chaos, serve and serve-trace, not %q", *exp)
 		}
 		if err != nil {
 			return err
@@ -144,8 +141,6 @@ func run(args []string) error {
 			return bench.Ablations(w)
 		case "pipeline":
 			return bench.Pipeline(w, *quick)
-		case "batch":
-			return bench.Batch(w, *quick)
 		case "lanes":
 			return bench.Lanes(w, *quick)
 		case "coherence":
@@ -166,7 +161,7 @@ func run(args []string) error {
 	if *exp != "all" {
 		return runOne(*exp)
 	}
-	for _, name := range []string{"table1", "overhead", "fig2", "hetero", "fig3", "ablation", "pipeline", "batch", "lanes", "coherence", "p2p", "chaos", "serve"} {
+	for _, name := range []string{"table1", "overhead", "fig2", "hetero", "fig3", "ablation", "pipeline", "lanes", "coherence", "p2p", "chaos", "serve"} {
 		if err := runOne(name); err != nil {
 			return err
 		}

@@ -48,12 +48,6 @@ func Registry() *haocl.KernelRegistry {
 
 // cluster starts an in-process cluster with the given node mix.
 func cluster(gpus, fpgas int) (*haocl.LocalCluster, error) {
-	return clusterAtWire(gpus, fpgas, 0)
-}
-
-// clusterAtWire is cluster with the nodes' wire version capped
-// (0 = current), for pre-batching baselines.
-func clusterAtWire(gpus, fpgas int, wire uint32) (*haocl.LocalCluster, error) {
 	lc, err := haocl.StartLocalCluster(haocl.LocalClusterSpec{
 		UserID:      "bench",
 		GPUNodes:    gpus,
@@ -61,7 +55,6 @@ func clusterAtWire(gpus, fpgas int, wire uint32) (*haocl.LocalCluster, error) {
 		Bitstreams:  apps.Bitstreams(),
 		Kernels:     Registry(),
 		ExecWorkers: 1,
-		WireVersion: wire,
 	})
 	if err != nil {
 		return nil, err

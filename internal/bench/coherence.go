@@ -65,7 +65,7 @@ type coherenceHarness struct {
 }
 
 func newCoherenceHarness(size int64, mode core.MigrationMode) (*coherenceHarness, error) {
-	p, cleanup, err := pipelinePlatform(2, true, 0)
+	p, cleanup, err := pipelinePlatform(2, true)
 	if err != nil {
 		return nil, err
 	}

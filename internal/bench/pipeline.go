@@ -10,30 +10,27 @@ import (
 	"github.com/haocl-project/haocl/internal/device"
 	"github.com/haocl-project/haocl/internal/mem"
 	"github.com/haocl-project/haocl/internal/node"
-	"github.com/haocl-project/haocl/internal/protocol"
 	"github.com/haocl-project/haocl/internal/sim"
 	"github.com/haocl-project/haocl/internal/transport"
 )
 
 // This file measures the asynchronous command path of the backbone
 // (paper §III-C: the wrapper library ships every API call as a message over
-// an async communication layer). The same command stream is issued in up to
-// three modes:
+// an async communication layer). The same command stream is issued in two
+// modes:
 //
 //	sync       — the host waits for every command's response before issuing
 //	             the next one, the behavior of the pre-pipelining runtime
 //	             (one full round trip per command);
 //	pipelined  — commands stream out back to back and the host synchronizes
-//	             only at Queue.Finish; each frame still pays its own write
-//	             (the wire v2 path, emulated by pinning the node at v2);
-//	batched    — pipelined, plus the wire v3 coalescer packing bursts of
-//	             small frames into Batch envelopes written in one syscall,
-//	             with symmetric batched responses.
+//	             only at Queue.Finish, while the transport's coalescer packs
+//	             bursts of small frames into Batch envelopes written in one
+//	             syscall, with symmetric batched responses.
 //
-// Virtual time is identical in every mode — neither pipelining nor
-// batching changes when the simulated hardware works — so the number that
-// moves is the host-side wall-clock enqueue rate (commands/second) and
-// with it the end-to-end makespan of command-heavy workloads on real
+// Virtual time is identical in both modes — neither pipelining nor
+// coalescing changes when the simulated hardware works — so the number
+// that moves is the host-side wall-clock enqueue rate (commands/second)
+// and with it the end-to-end makespan of command-heavy workloads on real
 // deployments.
 
 // StreamMode selects how the benchmark issues its command stream.
@@ -43,7 +40,6 @@ type StreamMode int
 const (
 	ModeSync StreamMode = iota
 	ModePipelined
-	ModeBatched
 )
 
 // String names the mode as reported in rows.
@@ -53,29 +49,16 @@ func (m StreamMode) String() string {
 		return "sync"
 	case ModePipelined:
 		return "pipelined"
-	case ModeBatched:
-		return "batched"
 	default:
 		return fmt.Sprintf("StreamMode(%d)", int(m))
 	}
-}
-
-// nodeWireVersion returns the wire version the benchmark's nodes advertise
-// for a mode: sync and pipelined pin the node at v2 so the host falls back
-// to the one-frame-per-write path (the PR 1 baseline), while batched runs
-// the full v3 negotiation.
-func (m StreamMode) nodeWireVersion() uint32 {
-	if m == ModeBatched {
-		return protocol.Version
-	}
-	return protocol.MinVersion
 }
 
 // PipelineRow is one (workload, transport, mode) measurement.
 type PipelineRow struct {
 	Workload   string  `json:"workload"`
 	Transport  string  `json:"transport"` // "mem" (in-process pipes) or "tcp" (loopback sockets)
-	Mode       string  `json:"mode"`      // "sync", "pipelined" or "batched"
+	Mode       string  `json:"mode"`      // "sync" or "pipelined"
 	Commands   int64   `json:"commands"`
 	WallMS     float64 `json:"wall_ms"`
 	CmdsPerSec float64 `json:"cmds_per_sec"`
@@ -129,12 +112,10 @@ func (r PipelineRow) String() string {
 // pipelinePlatform builds a gpus-node cluster either on the in-process
 // pipe network or on real loopback TCP sockets — the latter is the
 // deployment shape where the per-command round trip actually costs what
-// the paper's GbE backbone charges. wire caps the nodes' advertised
-// protocol version (0 = current), letting sync/pipelined runs emulate a
-// pre-batching peer.
-func pipelinePlatform(gpus int, tcp bool, wire uint32) (*haocl.Platform, func(), error) {
+// the paper's GbE backbone charges.
+func pipelinePlatform(gpus int, tcp bool) (*haocl.Platform, func(), error) {
 	if !tcp {
-		lc, err := clusterAtWire(gpus, 0, wire)
+		lc, err := cluster(gpus, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -156,7 +137,6 @@ func pipelinePlatform(gpus int, tcp bool, wire uint32) (*haocl.Platform, func(),
 			Devices:     []device.Config{{Driver: sim.DriverGPU, ID: 1, Shared: true}},
 			ICD:         icd,
 			ExecWorkers: 1,
-			WireVersion: wire,
 			Dialer:      transport.TCPDialer{},
 		})
 		if err != nil {
@@ -198,7 +178,7 @@ func syncPoint(ev *haocl.Event, mode StreamMode) error {
 // enqueue latency the bottleneck of a blocking protocol.
 func PipelineMatmul(gpus, launches int, mode StreamMode, tcp bool) (PipelineRow, error) {
 	row := PipelineRow{Workload: "MatrixMul", Transport: transportName(tcp), Mode: mode.String()}
-	p, cleanup, err := pipelinePlatform(gpus, tcp, mode.nodeWireVersion())
+	p, cleanup, err := pipelinePlatform(gpus, tcp)
 	if err != nil {
 		return row, err
 	}
@@ -322,7 +302,7 @@ func PipelineMatmul(gpus, launches int, mode StreamMode, tcp bool) (PipelineRow,
 // the round trips.
 func PipelineBFS(levels int, mode StreamMode, tcp bool) (PipelineRow, error) {
 	row := PipelineRow{Workload: "BFS", Transport: transportName(tcp), Mode: mode.String()}
-	p, cleanup, err := pipelinePlatform(1, tcp, mode.nodeWireVersion())
+	p, cleanup, err := pipelinePlatform(1, tcp)
 	if err != nil {
 		return row, err
 	}
@@ -488,15 +468,14 @@ func bestOf(reps int, sample func() (PipelineRow, error)) (PipelineRow, error) {
 	return best, nil
 }
 
-// streamReport measures both workloads in the given modes on loopback TCP
-// — the deployment shape where per-command round trips and per-frame
-// writes cost what the paper's GbE backbone charges (the in-process pipe
-// harness keeps the modes equivalent and is not a meaningful baseline) —
-// and compares every mode against the first.
-func streamReport(experiment string, quick bool, modes []StreamMode) (*Report, error) {
+// PipelineReport measures sync vs pipelined enqueue on both workloads over
+// loopback TCP — the deployment shape where per-command round trips cost
+// what the paper's GbE backbone charges (the in-process pipe harness keeps
+// the modes equivalent and is not a meaningful baseline).
+func PipelineReport(quick bool) (*Report, error) {
 	gpus, launches, levels := streamSizes(quick)
 	const tcp, reps = true, 3
-	rep := &Report{Experiment: experiment, Quick: quick}
+	rep := &Report{Experiment: "pipeline", Quick: quick}
 
 	type workload struct {
 		name   string
@@ -511,30 +490,26 @@ func streamReport(experiment string, quick bool, modes []StreamMode) (*Report, e
 		}},
 	}
 	for _, wl := range workloads {
-		var cells []PipelineRow
-		for _, mode := range modes {
+		var cells [2]PipelineRow
+		for i, mode := range []StreamMode{ModeSync, ModePipelined} {
 			mode := mode
 			r, err := bestOf(reps, func() (PipelineRow, error) { return wl.sample(mode) })
 			if err != nil {
 				return nil, err
 			}
 			rep.Rows = append(rep.Rows, r)
-			// Compare against every earlier mode, so a three-mode run
-			// reports batched-vs-pipelined (the number that isolates the
-			// coalescer) as well as everything-vs-sync.
-			for _, base := range cells {
-				rep.Comparisons = append(rep.Comparisons, Comparison{
-					Workload: wl.name,
-					Baseline: base.Mode,
-					Mode:     r.Mode,
-					Speedup:  r.CmdsPerSec / base.CmdsPerSec,
-					// Virtual makespans are float64 seconds derived from
-					// integer virtual nanoseconds; equality is exact.
-					VirtualMatch: r.VirtualSec == base.VirtualSec,
-				})
-			}
-			cells = append(cells, r)
+			cells[i] = r
 		}
+		base, r := cells[0], cells[1]
+		rep.Comparisons = append(rep.Comparisons, Comparison{
+			Workload: wl.name,
+			Baseline: base.Mode,
+			Mode:     r.Mode,
+			Speedup:  r.CmdsPerSec / base.CmdsPerSec,
+			// Virtual makespans are float64 seconds derived from integer
+			// virtual nanoseconds; equality is exact.
+			VirtualMatch: r.VirtualSec == base.VirtualSec,
+		})
 	}
 	return rep, nil
 }
@@ -566,12 +541,6 @@ func printReport(w io.Writer, rep *Report) {
 	}
 }
 
-// PipelineReport measures sync vs pipelined enqueue (both against
-// v2-pinned nodes, isolating pipelining from batching).
-func PipelineReport(quick bool) (*Report, error) {
-	return streamReport("pipeline", quick, []StreamMode{ModeSync, ModePipelined})
-}
-
 // Pipeline runs both workloads in sync and pipelined modes on loopback
 // TCP and prints the comparison.
 func Pipeline(w io.Writer, quick bool) error {
@@ -579,8 +548,8 @@ func Pipeline(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "=== Async command pipelining: sync vs pipelined enqueue ===")
 	fmt.Fprintf(w, "(MatrixMul: %d tiles x 3 commands across %d GPU nodes; BFS: %d-level frontier chain)\n",
 		gpus*launches, gpus, levels)
-	fmt.Fprintln(w, "(loopback TCP nodes pinned at wire v2 — the pre-batching deployment shape where each")
-	fmt.Fprintln(w, " blocked enqueue pays a real round trip and every frame its own write)")
+	fmt.Fprintln(w, "(loopback TCP nodes — the deployment shape where each blocked enqueue pays a real")
+	fmt.Fprintln(w, " round trip; pipelined bursts coalesce into Batch envelopes)")
 	rep, err := PipelineReport(quick)
 	if err != nil {
 		return err

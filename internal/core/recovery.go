@@ -116,14 +116,21 @@ func (rt *Runtime) shouldRecover(err error) bool {
 // The public enqueue/synchronization entry points all funnel through here;
 // the internals they wrap never recover (replay uses them directly).
 func (rt *Runtime) withRecovery(op func() error) error {
-	err := op()
+	err := rt.gated(op)
 	for tries := 0; err != nil && tries < 3 && rt.shouldRecover(err); tries++ {
 		if rerr := rt.Recover(); rerr != nil {
 			return rerr
 		}
-		err = op()
+		err = rt.gated(op)
 	}
 	return err
+}
+
+// gated runs op holding the issue gate shared.
+func (rt *Runtime) gated(op func() error) error {
+	rt.issueGate.RLock()
+	defer rt.issueGate.RUnlock()
+	return op()
 }
 
 // Recover re-places the work of every dead node on the survivors and
@@ -134,12 +141,14 @@ func (rt *Runtime) withRecovery(op func() error) error {
 func (rt *Runtime) Recover() error {
 	rt.recoverMu.Lock()
 	defer rt.recoverMu.Unlock()
+	rt.issueGate.Lock()
+	defer rt.issueGate.Unlock()
 	return rt.recoverLocked()
 }
 
 // recoverLocked loops recovery passes until the cluster is stable: a node
 // that dies while a pass is replaying is picked up by the next pass.
-// Caller holds recoverMu.
+// Caller holds recoverMu and the issue gate exclusively.
 func (rt *Runtime) recoverLocked() error {
 	for round := 0; ; round++ {
 		if round > len(rt.nodes)+1 {
@@ -465,7 +474,7 @@ func (rt *Runtime) rehelloLocked() error {
 		err := rt.call(n, &protocol.HelloReq{
 			UserID:      rt.userID,
 			ClientName:  rt.clientName,
-			WireVersion: n.wireVersion.Load(),
+			WireVersion: protocol.Version,
 			Peers:       peers,
 			Epoch:       rt.epoch,
 		}, &resp)
@@ -497,6 +506,8 @@ const (
 func (rt *Runtime) ReconnectNode(name string) error {
 	rt.recoverMu.Lock()
 	defer rt.recoverMu.Unlock()
+	rt.issueGate.Lock()
+	defer rt.issueGate.Unlock()
 
 	var h *NodeHandle
 	for _, n := range rt.nodes {
@@ -542,6 +553,15 @@ func (rt *Runtime) ReconnectNode(name string) error {
 		return fmt.Errorf("core: reconnect %q: %w", name, err)
 	}
 
+	// The epoch bump below makes every survivor drop its push rendezvous
+	// entries, deposited data included. Settle every session's in-flight
+	// commands first, so no push between survivors straddles the change:
+	// an awaiter still waiting on its dependencies would otherwise find
+	// its deposit gone and park forever.
+	for _, s := range rt.allSessions() {
+		s.drainPendingEvents()
+	}
+
 	rt.epoch++
 	alive := rt.aliveNodes()
 	peers := make([]protocol.PeerAddr, 0, len(alive)+1)
@@ -555,13 +575,9 @@ func (rt *Runtime) ReconnectNode(name string) error {
 		client.Close()
 		return fmt.Errorf("core: rejoin handshake with %q: %w", name, err)
 	}
-	if resp.WireVersion >= protocol.VersionBatch {
-		client.EnableBatching()
-	}
 	// Publish the fresh connection before flipping the handle alive, so a
 	// caller that observes stateAlive also loads the new client.
 	h.client.Store(client)
-	h.wireVersion.Store(resp.WireVersion)
 	h.bootID.Store(resp.BootID)
 	h.state.Store(stateAlive)
 	rt.watchNode(h, client)

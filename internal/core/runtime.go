@@ -84,11 +84,6 @@ type NodeHandle struct {
 	// as client.
 	bootID atomic.Uint64
 
-	// wireVersion is the protocol version the Hello handshake negotiated
-	// for this connection; batching is active iff it is at least
-	// protocol.VersionBatch. Atomic for the same rejoin swap as client.
-	wireVersion atomic.Uint32
-
 	// issueMu makes (event-ID assignment, frame write) atomic so that wire
 	// order equals event-ID order — the ordering contract the node's FIFO
 	// dispatch turns into in-order command execution. eventID counts the
@@ -104,9 +99,6 @@ func (n *NodeHandle) Name() string { return n.name }
 
 // Alive reports whether the node's connection is currently believed good.
 func (n *NodeHandle) Alive() bool { return n.state.Load() == stateAlive }
-
-// WireVersion reports the protocol version negotiated with this node.
-func (n *NodeHandle) WireVersion() uint32 { return n.wireVersion.Load() }
 
 // DeviceRef is one device in the cluster-wide table.
 type DeviceRef struct {
@@ -217,6 +209,14 @@ type Runtime struct {
 	recoverMu sync.Mutex
 	replaying atomic.Bool
 
+	// issueGate keeps commands from being issued while recovery or rejoin
+	// rewrites what they depend on (queue bindings, replica maps, command
+	// logs): public enqueue and synchronization calls hold it shared for
+	// as long as they issue, recovery and rejoin hold it exclusively,
+	// after recoverMu. Replay issues through the internals, which never
+	// take it.
+	issueGate sync.RWMutex
+
 	// trc is the runtime-level tracing attachment (nil = tracing off);
 	// one Run per SetTracer call. Atomic so the hot enqueue path reads it
 	// lock-free.
@@ -295,13 +295,7 @@ func Connect(opts Options) (*Runtime, error) {
 			client.Close()
 			return nil, fmt.Errorf("core: handshake with node %q: %w", spec.Name, err)
 		}
-		nh.wireVersion.Store(resp.WireVersion)
 		nh.bootID.Store(resp.BootID)
-		if resp.WireVersion >= protocol.VersionBatch {
-			// Both ends speak v3: coalesce small control frames into
-			// Batch envelopes. Older nodes keep the plain v2 write path.
-			client.EnableBatching()
-		}
 		rt.watchNode(nh, client)
 		rt.nodes = append(rt.nodes, nh)
 		for _, info := range resp.Devices {
@@ -321,15 +315,14 @@ func Connect(opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// hello performs the handshake via the shared transport negotiation (the
-// same path nodes use when dialing each other as peers).
+// hello performs the handshake via the shared transport path (the same
+// path nodes use when dialing each other as peers).
 func hello(client *transport.Client, userID, clientName string, peers []protocol.PeerAddr, epoch uint64) (protocol.HelloResp, error) {
 	return transport.Handshake(client, protocol.HelloReq{
-		UserID:      userID,
-		ClientName:  clientName,
-		WireVersion: protocol.Version,
-		Peers:       peers,
-		Epoch:       epoch,
+		UserID:     userID,
+		ClientName: clientName,
+		Peers:      peers,
+		Epoch:      epoch,
 	})
 }
 

@@ -28,7 +28,14 @@ func (rt *Runtime) TraceRun() *trace.Run { return rt.trc.Load() }
 
 // WriteTrace exports everything the attached tracer has recorded in
 // Chrome trace-event format (an empty trace when none is attached).
+// A command's spans are recorded when its response is consumed, so every
+// session's pipelined commands are resolved first: a migration push whose
+// consumer already finished may have had nothing waiting on its response,
+// and exporting before it lands would make the trace depend on timing.
 func (rt *Runtime) WriteTrace(w io.Writer) error {
+	for _, s := range rt.allSessions() {
+		s.drainPendingEvents()
+	}
 	return rt.trc.Load().Tracer().WriteChrome(w)
 }
 

@@ -135,6 +135,11 @@ func TestTraceSpanTreeWellFormed(t *testing.T) {
 	tr := trace.New()
 	rt.SetTracer(tr)
 	traceWorkload(t, rt)
+	// A migration command nothing waited on records its spans only once
+	// the session resolves its response.
+	if err := rt.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	spans := tr.Spans()
 	if len(spans) == 0 {

@@ -43,10 +43,6 @@ type Options struct {
 	// launch (0 = GOMAXPROCS). Experiment harnesses running many
 	// simulated nodes in one process set this to 1.
 	ExecWorkers int
-	// WireVersion caps the wire protocol version this node negotiates in
-	// Hello handshakes (0 = protocol.Version). Benchmarks and interop
-	// tests set protocol.MinVersion to stand in for a pre-batching peer.
-	WireVersion uint32
 	// SingleLane folds every command onto one dispatch lane per session,
 	// restoring the serialized per-connection execution of the pre-lane
 	// runtime. Benchmarks use it as the baseline when measuring per-queue
@@ -65,7 +61,6 @@ type Node struct {
 	devices     []device.Device
 	stats       []*deviceStats
 	execWorkers int
-	wireVersion uint32
 	singleLane  bool
 	dialer      transport.Dialer
 
@@ -163,19 +158,10 @@ func New(opts Options) (*Node, error) {
 	if len(opts.Devices) == 0 {
 		return nil, fmt.Errorf("node %q: at least one device required", opts.Name)
 	}
-	wireVersion := opts.WireVersion
-	if wireVersion == 0 {
-		wireVersion = protocol.Version
-	}
-	if wireVersion < protocol.MinVersion || wireVersion > protocol.Version {
-		return nil, fmt.Errorf("node %q: wire version %d outside supported range %d..%d",
-			opts.Name, wireVersion, protocol.MinVersion, protocol.Version)
-	}
 	n := &Node{
 		name:        opts.Name,
 		bootID:      bootCounter.Add(1),
 		execWorkers: opts.ExecWorkers,
-		wireVersion: wireVersion,
 		singleLane:  opts.SingleLane,
 		dialer:      opts.Dialer,
 		objects:     newObjectTable(),
@@ -263,12 +249,9 @@ func (n *Node) shutdown() {
 // execute them concurrently.
 func (n *Node) NewSession() transport.Handler { return newSession(n) }
 
-// Serve returns a transport server for this node, enforcing the node's
-// wire-version cap at the framing layer.
+// Serve returns a transport server for this node.
 func (n *Node) Serve() *transport.Server {
-	srv := transport.NewServer(func() transport.Handler { return n.NewSession() })
-	srv.LimitWireVersion(n.wireVersion)
-	return srv
+	return transport.NewServer(func() transport.Handler { return n.NewSession() })
 }
 
 // remoteErr builds a protocol error with a code the host can match on.

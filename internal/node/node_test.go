@@ -249,61 +249,18 @@ func TestReleaseSemantics(t *testing.T) {
 }
 
 func TestHelloVersionNegotiation(t *testing.T) {
-	// A host older than MinVersion is rejected outright.
+	// A session runs at exactly protocol.Version: any other offer, older
+	// or newer, is refused rather than negotiated.
 	n := testNode(t)
-	s := n.NewSession().(*Session)
-	callErr(t, s, &protocol.HelloReq{UserID: "x", WireVersion: 1}, protocol.CodeUnsupported)
-
-	// A current host negotiates the node's full version.
-	s = n.NewSession().(*Session)
-	resp := call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: protocol.Version}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.Version {
-		t.Fatalf("negotiated %d, want %d", resp.WireVersion, protocol.Version)
+	for _, v := range []uint32{1, protocol.MinVersion, 99} {
+		s := n.NewSession().(*Session)
+		callErr(t, s, &protocol.HelloReq{UserID: "x", WireVersion: v}, protocol.CodeUnsupported)
 	}
 
-	// A v2-only host is accepted and pinned to v2.
-	s = n.NewSession().(*Session)
-	resp = call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: protocol.MinVersion}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.MinVersion {
-		t.Fatalf("negotiated %d, want %d", resp.WireVersion, protocol.MinVersion)
-	}
-
-	// A host newer than the node falls back to the node's version.
-	s = n.NewSession().(*Session)
-	resp = call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: 99}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.Version {
-		t.Fatalf("negotiated %d, want node's %d", resp.WireVersion, protocol.Version)
-	}
-}
-
-func TestNodeWireVersionCap(t *testing.T) {
-	// A node capped at v2 (emulating a pre-batching build) negotiates v2
-	// with a v3 host.
-	icd := device.NewICD()
-	sim.RegisterDrivers(icd, kernel.NewRegistry())
-	n, err := New(Options{
-		Name:        "legacy-node",
-		Devices:     []device.Config{{Driver: sim.DriverGPU, ID: 1, Shared: true}},
-		ICD:         icd,
-		WireVersion: protocol.MinVersion,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := n.NewSession().(*Session)
 	resp := call(t, s, &protocol.HelloReq{UserID: "x", WireVersion: protocol.Version}, &protocol.HelloResp{})
-	if resp.WireVersion != protocol.MinVersion {
-		t.Fatalf("negotiated %d, want %d", resp.WireVersion, protocol.MinVersion)
-	}
-
-	// Out-of-range caps are configuration errors.
-	if _, err := New(Options{
-		Name:        "bad-node",
-		Devices:     []device.Config{{Driver: sim.DriverGPU, ID: 1, Shared: true}},
-		ICD:         icd,
-		WireVersion: 1,
-	}); err == nil {
-		t.Fatal("wire version 1 accepted")
+	if resp.WireVersion != protocol.Version {
+		t.Fatalf("session runs at %d, want %d", resp.WireVersion, protocol.Version)
 	}
 }
 

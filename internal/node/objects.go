@@ -45,8 +45,8 @@ type contextObj struct {
 	devices []uint32
 
 	// sessionID and tenant attribute the context to one host-side session:
-	// node logs and accounting can tell tenants apart. Pre-session hosts
-	// leave them 0/"" — one anonymous session.
+	// node logs and accounting can tell tenants apart. 0/"" is one
+	// anonymous session.
 	sessionID uint64
 	tenant    string
 }

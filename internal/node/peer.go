@@ -185,16 +185,13 @@ func (s *Session) dialPeer(name string) (*transport.Client, error) {
 	if err != nil {
 		return nil, remoteErr(protocol.CodeNodeLost, "dial peer %q at %q: %v", name, addr, err)
 	}
-	resp, err := transport.Handshake(client, protocol.HelloReq{
+	_, err = transport.Handshake(client, protocol.HelloReq{
 		UserID:     s.user(),
 		ClientName: "peer:" + s.node.name,
 	})
 	if err != nil {
 		client.Close()
 		return nil, remoteErr(protocol.CodeNodeLost, "handshake with peer %q: %v", name, err)
-	}
-	if resp.WireVersion >= protocol.VersionBatch {
-		client.EnableBatching()
 	}
 	return client, nil
 }

@@ -635,18 +635,10 @@ func (s *Session) handleHello(body []byte) (protocol.Message, error) {
 	if err := protocol.DecodeMessage(&req, body); err != nil {
 		return nil, err
 	}
-	// Version negotiation: the session runs at the highest version both
-	// sides speak. A host newer than the node falls back to the node's
-	// version (so a v3 host interoperates with a v2-only node, minus
-	// batching); a host older than MinVersion cannot be spoken to at all.
-	if req.WireVersion < protocol.MinVersion {
+	// A session runs at exactly one wire version; nothing negotiates.
+	if req.WireVersion != protocol.Version {
 		return nil, remoteErr(protocol.CodeUnsupported,
-			"wire version %d unsupported: node speaks %d through %d",
-			req.WireVersion, protocol.MinVersion, s.node.wireVersion)
-	}
-	negotiated := s.node.wireVersion
-	if req.WireVersion < negotiated {
-		negotiated = req.WireVersion
+			"wire version %d unsupported: node speaks %d", req.WireVersion, protocol.Version)
 	}
 	// Learn the cluster address book for peer dialing. Our own entry is
 	// dropped: a node never pushes to itself.
@@ -682,7 +674,7 @@ func (s *Session) handleHello(body []byte) (protocol.Message, error) {
 	return &protocol.HelloResp{
 		NodeName:    s.node.name,
 		Devices:     s.node.DeviceInfos(0),
-		WireVersion: negotiated,
+		WireVersion: protocol.Version,
 		BootID:      s.node.bootID,
 	}, nil
 }

@@ -22,7 +22,7 @@ func subFramesEqual(a, b []*Frame) bool {
 }
 
 // batchRoundTrip encodes subs into an envelope, ships it through
-// WriteFrame/ReadFrame, and decodes it back.
+// WriteFrameTo/ReadFrame, and decodes it back.
 func batchRoundTrip(t *testing.T, subs []*Frame) []*Frame {
 	t.Helper()
 	env, err := EncodeBatch(subs)
@@ -33,11 +33,11 @@ func batchRoundTrip(t *testing.T, subs []*Frame) []*Frame {
 		t.Fatalf("envelope = kind %d op %s", env.Kind, env.Op)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err != nil {
+	if err := WriteFrameTo(&buf, env, nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// Batch frames are stamped with the v3 version byte; plain frames
-	// keep v2 so pre-batching peers accept them.
+	// Batch frames carry the VersionBatch header byte; plain frames
+	// carry MinVersion.
 	if v := buf.Bytes()[2]; v != VersionBatch {
 		t.Fatalf("envelope version byte = %d, want %d", v, VersionBatch)
 	}

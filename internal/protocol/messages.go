@@ -245,16 +245,15 @@ type HelloReq struct {
 	ClientName  string
 	WireVersion uint32
 	// Peers lists every cluster node's listen address so this node can
-	// dial siblings for PushRange traffic. Appended after the v3 fields;
-	// requests from older hosts lack it and decode as nil (the node then
-	// rejects PushRange commands instead of data-plane traffic hanging).
+	// dial siblings for PushRange traffic. Empty when the dialer sends no
+	// address book (a node dialing a peer); the node then rejects
+	// PushRange commands instead of data-plane traffic hanging.
 	Peers []PeerAddr
 	// Epoch is the host's membership generation. It starts at 1 and is
 	// bumped on every node death or (re)join; a repeat Hello on a live
 	// session with a higher epoch tells the node to adopt the new peer
 	// list, drop pooled peer connections, and cancel parked push
-	// rendezvous (their counterpart may be gone). Appended after Peers;
-	// requests from older hosts decode as 0, which never triggers the
+	// rendezvous (their counterpart may be gone). 0 never triggers the
 	// membership-change path.
 	Epoch uint64
 }
@@ -280,9 +279,6 @@ func (m *HelloReq) UnmarshalBody(d *Decoder) {
 	m.UserID = d.Str()
 	m.ClientName = d.Str()
 	m.WireVersion = d.U32()
-	if d.Err() != nil || d.Remaining() < 4 {
-		return // pre-p2p request without the peer list
-	}
 	n := int(d.U32())
 	if !d.Need(n) {
 		return
@@ -294,26 +290,20 @@ func (m *HelloReq) UnmarshalBody(d *Decoder) {
 			m.Peers[i].Addr = d.Str()
 		}
 	}
-	if d.Err() == nil && d.Remaining() >= 8 {
-		m.Epoch = d.U64() // pre-fault-tolerance requests lack the field
-	}
+	m.Epoch = d.U64()
 }
 
 // HelloResp acknowledges a session and advertises the node's devices.
 type HelloResp struct {
 	NodeName string
 	Devices  []DeviceInfo
-	// WireVersion is the protocol version the node negotiated for this
-	// session: min(host's offered version, node's own). The host enables
-	// Batch coalescing only when it is at least VersionBatch. The field
-	// was appended in v3; responses from v2 nodes lack it and decode as
-	// MinVersion.
+	// WireVersion is the protocol version the node runs the session at:
+	// always Version, which the host checks (transport.Handshake).
 	WireVersion uint32
 	// BootID identifies this incarnation of the node process. A restarted
 	// node reports a fresh BootID, letting the host distinguish "same
 	// process, repeated Hello" (epoch bump) from "new process at the same
-	// address" (all prior replicas and objects are gone). Appended after
-	// WireVersion; responses from older nodes decode as 0.
+	// address" (all prior replicas and objects are gone).
 	BootID uint64
 }
 
@@ -342,14 +332,8 @@ func (m *HelloResp) UnmarshalBody(d *Decoder) {
 	for i := range m.Devices {
 		m.Devices[i].unmarshal(d)
 	}
-	if d.Err() == nil && d.Remaining() >= 4 {
-		m.WireVersion = d.U32()
-	} else if d.Err() == nil {
-		m.WireVersion = MinVersion // pre-v3 response without the field
-	}
-	if d.Err() == nil && d.Remaining() >= 8 {
-		m.BootID = d.U64() // pre-fault-tolerance response without the field
-	}
+	m.WireVersion = d.U32()
+	m.BootID = d.U64()
 }
 
 // GetDeviceInfosReq re-queries the device list (clGetDeviceIDs forwarding:
@@ -436,9 +420,7 @@ type CreateContextReq struct {
 	DeviceIDs []int64
 	// SessionID and Tenant identify the host-side session the context
 	// belongs to, so node-side accounting and logs can attribute objects to
-	// tenants. Appended after DeviceIDs; requests from pre-session hosts
-	// lack them and decode as 0/"" (the node treats that as one anonymous
-	// session).
+	// tenants. 0/"" is one anonymous session.
 	SessionID uint64
 	Tenant    string
 }
@@ -456,12 +438,8 @@ func (m *CreateContextReq) MarshalBody(e *Encoder) {
 // UnmarshalBody implements Message.
 func (m *CreateContextReq) UnmarshalBody(d *Decoder) {
 	m.DeviceIDs = d.Ints()
-	if d.Err() == nil && d.Remaining() >= 8 {
-		m.SessionID = d.U64()
-	}
-	if d.Err() == nil && d.Remaining() >= 4 {
-		m.Tenant = d.Str()
-	}
+	m.SessionID = d.U64()
+	m.Tenant = d.Str()
 }
 
 // ObjectResp returns a freshly created remote object handle.

@@ -225,9 +225,11 @@ func TestDecodeTruncatedMessages(t *testing.T) {
 	}
 }
 
-// TestDecodeTruncatedPushMessages feeds every prefix of the p2p data-plane
-// messages to the decoder and requires a clean error, never a panic — these
-// decoders feed the node registration stage straight off the wire.
+// TestDecodeTruncatedPushMessages feeds every proper prefix of the p2p
+// data-plane messages and the session-opening messages to the decoder and
+// requires a clean error, never a panic or a silent partial decode — these
+// decoders feed the node registration stage straight off the wire, and a
+// session runs at one wire version, so no trailing field is optional.
 func TestDecodeTruncatedPushMessages(t *testing.T) {
 	cases := []struct{ in, out Message }{
 		{&PushRangeReq{QueueID: 1, BufferID: 2, PeerName: "gpu-1", PeerBufferID: 3, Token: 4,
@@ -237,6 +239,13 @@ func TestDecodeTruncatedPushMessages(t *testing.T) {
 		{&AwaitPushReq{QueueID: 1, BufferID: 2, Token: 3, Offset: 4, Size: 5, SimArrival: 6,
 			EventID: 7, ModelBytes: 8, WaitEvents: []int64{9}}, &AwaitPushReq{}},
 		{&CancelPushReq{Token: 1, Reason: "source died"}, &CancelPushReq{}},
+		{&HelloReq{UserID: "u", ClientName: "c", WireVersion: Version}, &HelloReq{}},
+		{&HelloReq{UserID: "u", ClientName: "c", WireVersion: Version, Epoch: 4,
+			Peers: []PeerAddr{{Name: "gpu-0", Addr: "10.0.0.1:7010"}}}, &HelloReq{}},
+		{&HelloResp{NodeName: "gpu-1", WireVersion: Version, BootID: 42,
+			Devices: []DeviceInfo{{ID: 1, Type: DeviceGPU, Name: "GPU", Shared: true}}}, &HelloResp{}},
+		{&CreateContextReq{DeviceIDs: []int64{3, 9}, SessionID: 7}, &CreateContextReq{}},
+		{&CreateContextReq{DeviceIDs: []int64{3, 9}, SessionID: 7, Tenant: "team-a"}, &CreateContextReq{}},
 	}
 	for _, c := range cases {
 		body := EncodeMessage(c.in)
@@ -248,42 +257,26 @@ func TestDecodeTruncatedPushMessages(t *testing.T) {
 	}
 }
 
-// TestHelloPeerListBackCompat: a pre-p2p peer sends HelloReq without the
-// trailing peer list; the decoder must accept it with no peers rather than
-// erroring, and a hello whose peer section is cut mid-entry must error.
+// TestHelloPeerListBackCompat: a Hello without an address book decodes
+// with no peers and epoch 0, and one with peers round-trips them.
 func TestHelloPeerListBackCompat(t *testing.T) {
-	full := EncodeMessage(&HelloReq{UserID: "u", ClientName: "c", WireVersion: 2})
-	// Strip the epoch (8) and the (empty) peer-count word (4).
-	legacy := full[:len(full)-12]
 	var out HelloReq
-	if err := DecodeMessage(&out, legacy); err != nil {
-		t.Fatalf("legacy hello rejected: %v", err)
-	}
+	roundTrip(t, &HelloReq{UserID: "u", ClientName: "c", WireVersion: Version}, &out)
 	if out.UserID != "u" || out.Peers != nil || out.Epoch != 0 {
-		t.Fatalf("legacy hello decoded to %+v", out)
+		t.Fatalf("peerless hello decoded to %+v", out)
 	}
 
-	// A p2p-era hello without the epoch field decodes with Epoch 0.
-	var prefault HelloReq
-	if err := DecodeMessage(&prefault, full[:len(full)-8]); err != nil {
-		t.Fatalf("pre-fault-tolerance hello rejected: %v", err)
-	}
-	if prefault.Epoch != 0 {
-		t.Fatalf("missing epoch decoded as %d", prefault.Epoch)
-	}
-
-	withPeers := EncodeMessage(&HelloReq{UserID: "u", WireVersion: 2, Epoch: 4,
-		Peers: []PeerAddr{{Name: "gpu-0", Addr: "10.0.0.1:7010"}}})
-	var cut HelloReq
-	// Strip the epoch (8) plus 3 bytes to land mid-peer-entry.
-	if err := DecodeMessage(&cut, withPeers[:len(withPeers)-11]); err == nil {
-		t.Fatal("hello cut mid-peer-entry decoded without error")
+	in := &HelloReq{UserID: "u", WireVersion: Version, Epoch: 4,
+		Peers: []PeerAddr{{Name: "gpu-0", Addr: "10.0.0.1:7010"}}}
+	var withPeers HelloReq
+	roundTrip(t, in, &withPeers)
+	if !reflect.DeepEqual(in, &withPeers) {
+		t.Fatalf("%+v != %+v", withPeers, in)
 	}
 }
 
-// TestHelloEpochBootIDRoundTrip: the fault-tolerance fields appended to
-// the Hello pair survive a round trip, and a response from an older node
-// (no trailing BootID) decodes with BootID 0.
+// TestHelloEpochBootIDRoundTrip: the fault-tolerance fields of the Hello
+// pair survive a round trip.
 func TestHelloEpochBootIDRoundTrip(t *testing.T) {
 	in := &HelloReq{UserID: "u", ClientName: "c", WireVersion: 3, Epoch: 7,
 		Peers: []PeerAddr{{Name: "gpu-1", Addr: "mem://gpu-1"}}}
@@ -300,49 +293,16 @@ func TestHelloEpochBootIDRoundTrip(t *testing.T) {
 		outResp.BootID != resp.BootID {
 		t.Fatalf("%+v != %+v", outResp, resp)
 	}
-
-	legacy := EncodeMessage(resp)
-	legacy = legacy[:len(legacy)-8] // strip the BootID
-	var old HelloResp
-	if err := DecodeMessage(&old, legacy); err != nil {
-		t.Fatalf("pre-fault-tolerance response rejected: %v", err)
-	}
-	if old.BootID != 0 || old.WireVersion != 3 {
-		t.Fatalf("legacy response decoded to %+v", old)
-	}
 }
 
-// TestCreateContextSessionBackCompat: the session identity appended to
-// CreateContextReq survives a round trip, and a request from a
-// pre-session host (no trailing SessionID/Tenant) decodes as the
-// anonymous session rather than erroring.
+// TestCreateContextSessionBackCompat: the session identity of
+// CreateContextReq survives a round trip.
 func TestCreateContextSessionBackCompat(t *testing.T) {
 	in := &CreateContextReq{DeviceIDs: []int64{3, 9}, SessionID: 7, Tenant: "team-a"}
 	var out CreateContextReq
 	roundTrip(t, in, &out)
 	if !reflect.DeepEqual(in, &out) {
 		t.Fatalf("%+v != %+v", out, in)
-	}
-
-	full := EncodeMessage(&CreateContextReq{DeviceIDs: []int64{3, 9}, SessionID: 7})
-	// Strip the tenant length word (4) and the session ID (8).
-	legacy := full[:len(full)-12]
-	var old CreateContextReq
-	if err := DecodeMessage(&old, legacy); err != nil {
-		t.Fatalf("pre-session request rejected: %v", err)
-	}
-	if !reflect.DeepEqual(old.DeviceIDs, []int64{3, 9}) || old.SessionID != 0 || old.Tenant != "" {
-		t.Fatalf("legacy request decoded to %+v", old)
-	}
-
-	// A request carrying the session ID but cut before the tenant string
-	// still decodes (tenant defaults empty).
-	var mid CreateContextReq
-	if err := DecodeMessage(&mid, full[:len(full)-4]); err != nil {
-		t.Fatalf("session-only request rejected: %v", err)
-	}
-	if mid.SessionID != 7 || mid.Tenant != "" {
-		t.Fatalf("session-only request decoded to %+v", mid)
 	}
 }
 

@@ -27,19 +27,16 @@ const (
 	// (something else dialing the NMP port) fails fast.
 	Magic = 0x4841 // "HA"
 
-	// Version is the highest wire protocol version this build speaks.
-	// Version 2 added host-assigned event IDs to the enqueue requests,
-	// the basis of command pipelining; version 3 added the Batch frame
-	// that coalesces small control messages. Peers negotiate the working
-	// version in the Hello handshake (min of both sides) and fall back to
-	// the v2 one-frame-per-message path against older peers.
+	// Version is the one wire protocol version a session runs at. Both
+	// sides offer it in the Hello handshake, and a node refuses any other
+	// offer; nothing negotiates down.
 	Version = 3
 
-	// MinVersion is the oldest version this build interoperates with.
+	// MinVersion is the version byte stamped on plain request and
+	// response frame headers.
 	MinVersion = 2
 
-	// VersionBatch is the first version whose peers understand Batch
-	// envelopes; the host only coalesces after negotiating at least this.
+	// VersionBatch is the version byte stamped on Batch envelope headers.
 	VersionBatch = 3
 
 	// MaxFrameSize is the largest permitted frame body (1 GiB), sized to
@@ -60,10 +57,8 @@ const (
 	FrameBatch
 )
 
-// frameVersion is the version byte stamped on a frame: the minimum wire
-// version able to decode that frame kind. Plain frames carry MinVersion so
-// a v2 peer accepts them before and after negotiation; Batch frames carry
-// VersionBatch and are only sent once the peer has negotiated v3.
+// frameVersion is the version byte stamped on a frame's header, fixed per
+// frame kind: plain frames carry MinVersion, Batch frames VersionBatch.
 func frameVersion(k FrameKind) byte {
 	if k == FrameBatch {
 		return VersionBatch
@@ -154,22 +149,9 @@ func WriteFrameTo(w io.Writer, f *Frame, b *Bulk) error {
 	return err
 }
 
-// WriteFrame serializes f to w with the fixed header. The body is written
-// in the same syscall batch as the header via a single buffer to keep the
-// backbone's per-message overhead low.
-func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := AppendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // ReadFrame reads one frame from r, validating magic, version and size.
-// Any version in [MinVersion, Version] is accepted: plain frames are
-// identical across both, and Batch frames only arrive from peers that
-// negotiated v3.
+// Any header version byte in [MinVersion, Version] is accepted; the
+// session's wire version itself is fixed by the Hello handshake.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -113,7 +113,7 @@ func TestDecoderHostileLengths(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Frame{Kind: FrameRequest, ReqID: 99, Op: OpEnqueueKernel, Body: []byte("payload")}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := WriteFrameTo(&buf, in, nil); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadFrame(&buf)
@@ -127,7 +127,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Kind: FrameResponse, ReqID: 1, Op: OpHello}); err != nil {
+	if err := WriteFrameTo(&buf, &Frame{Kind: FrameResponse, ReqID: 1, Op: OpHello}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadFrame(&buf)
@@ -149,7 +149,7 @@ func TestReadFrameBadMagic(t *testing.T) {
 
 func TestReadFrameBadVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Kind: FrameRequest, Op: OpHello}); err != nil {
+	if err := WriteFrameTo(&buf, &Frame{Kind: FrameRequest, Op: OpHello}, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -161,7 +161,7 @@ func TestReadFrameBadVersion(t *testing.T) {
 
 func TestReadFrameOversized(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Kind: FrameRequest, Op: OpHello, Body: []byte{1}}); err != nil {
+	if err := WriteFrameTo(&buf, &Frame{Kind: FrameRequest, Op: OpHello, Body: []byte{1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -174,7 +174,7 @@ func TestReadFrameOversized(t *testing.T) {
 
 func TestReadFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Kind: FrameRequest, Op: OpHello, Body: make([]byte, 64)}); err != nil {
+	if err := WriteFrameTo(&buf, &Frame{Kind: FrameRequest, Op: OpHello, Body: make([]byte, 64)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:headerSize+10]
@@ -193,7 +193,7 @@ func TestWriteFrameRejectsOversized(t *testing.T) {
 	// header is skipped and instead trust MaxFrameSize coverage in
 	// ReadFrame; here we check the happy path boundary (empty body).
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
+	if err := WriteFrameTo(&buf, f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -116,7 +116,7 @@ func TestAsyncEnvelopeCoalescedOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, env); err != nil {
+	if err := protocol.WriteFrameTo(conn, env, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,7 +197,7 @@ func TestAsyncEnvelopeBulkResponseTravelsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, env); err != nil {
+	if err := protocol.WriteFrameTo(conn, env, nil); err != nil {
 		t.Fatal(err)
 	}
 

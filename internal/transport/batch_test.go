@@ -176,7 +176,7 @@ func TestFrameWriterBulkByReference(t *testing.T) {
 	}
 }
 
-// TestBatchedClientRoundTrip hammers a batching client from many
+// TestBatchedClientRoundTrip hammers a coalescing client from many
 // goroutines over TCP; every future must resolve with its own response.
 func TestBatchedClientRoundTrip(t *testing.T) {
 	srv := NewStaticServer(&echoHandler{})
@@ -191,7 +191,6 @@ func TestBatchedClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableBatching()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 128)
@@ -218,7 +217,7 @@ func TestBatchedClientRoundTrip(t *testing.T) {
 }
 
 // TestBatchedOrderPreserved issues a long pipelined burst from one
-// goroutine with batching on; the server must execute the requests in Go
+// goroutine; the server must execute the requests in Go
 // order even though they arrive packed in envelopes.
 func TestBatchedOrderPreserved(t *testing.T) {
 	var mu sync.Mutex
@@ -243,7 +242,6 @@ func TestBatchedOrderPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableBatching()
 
 	const n = 500
 	futures := make([]*Pending, n)
@@ -295,7 +293,7 @@ func TestServerBatchedResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, env); err != nil {
+	if err := protocol.WriteFrameTo(conn, env, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -328,51 +326,6 @@ func TestServerBatchedResponses(t *testing.T) {
 	}
 }
 
-// TestV2CappedServerRejectsBatches pins a server below VersionBatch: it
-// must serve plain frames but drop connections that ship envelopes, so a
-// capped node behaves like a real pre-batching peer at the framing layer.
-func TestV2CappedServerRejectsBatches(t *testing.T) {
-	srv := NewStaticServer(&echoHandler{})
-	srv.LimitWireVersion(protocol.MinVersion)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Plain traffic works.
-	plain, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	var resp protocol.HelloResp
-	if err := plain.Call(&protocol.HelloReq{UserID: "v2"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-
-	// A batch envelope gets the connection dropped without a response.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	env, err := protocol.EncodeBatch([]*protocol.Frame{{
-		Kind: protocol.FrameRequest, ReqID: 1, Op: protocol.OpHello,
-		Body: protocol.EncodeMessage(&protocol.HelloReq{UserID: "v3"}),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := protocol.WriteFrame(conn, env); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("v2-capped server answered a batch envelope")
-	}
-}
-
 // TestServerDropsMalformedBatch sends a corrupt envelope; the server must
 // drop the connection without disturbing other sessions.
 func TestServerDropsMalformedBatch(t *testing.T) {
@@ -395,7 +348,7 @@ func TestServerDropsMalformedBatch(t *testing.T) {
 	}
 	bad := &protocol.Frame{Kind: protocol.FrameBatch, Op: protocol.OpBatch,
 		Body: []byte{0xFF, 0xFF, 0xFF, 0xFF}} // hostile count
-	if err := protocol.WriteFrame(conn, bad); err != nil {
+	if err := protocol.WriteFrameTo(conn, bad, nil); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -411,7 +364,7 @@ func TestServerDropsMalformedBatch(t *testing.T) {
 }
 
 // TestBatchedBulkPayload mixes small control calls with a payload above
-// the batchable limit; both must round-trip with batching enabled.
+// the batchable limit; both must round-trip through the coalescer.
 func TestBatchedBulkPayload(t *testing.T) {
 	srv := NewStaticServer(HandlerFunc(func(op protocol.Op, body []byte) (protocol.Message, error) {
 		var req protocol.WriteBufferReq
@@ -430,7 +383,6 @@ func TestBatchedBulkPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableBatching()
 
 	payload := make([]byte, protocol.BatchableBodyLimit*4)
 	for i := range payload {
@@ -469,7 +421,6 @@ func TestWriterDiesWithConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		client.EnableBatching()
 		if err := client.Call(&protocol.HelloReq{UserID: "x"}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +444,7 @@ func TestWriterDiesWithConnection(t *testing.T) {
 	}
 }
 
-// TestBatchedClientServerDeath kills the server under a batching client
+// TestBatchedClientServerDeath kills the server under a coalescing client
 // with futures in flight; all must resolve to the sticky error quickly.
 func TestBatchedClientServerDeath(t *testing.T) {
 	block := make(chan struct{})
@@ -510,7 +461,6 @@ func TestBatchedClientServerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableBatching()
 
 	futures := make([]*Pending, 16)
 	for i := range futures {

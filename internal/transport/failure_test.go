@@ -185,3 +185,39 @@ func TestNodeDeathFailsPendingCalls(t *testing.T) {
 		}
 	}
 }
+
+// TestLateCallWaitsForOnDown issues a call while the connection's failure
+// is being announced: the call must not fail before the OnDown callback
+// returns, or a caller checking the state the callback establishes (the
+// host marks the node dead there) could observe a failed command on a
+// node that still looks alive.
+func TestLateCallWaitsForOnDown(t *testing.T) {
+	hostEnd, nodeEnd := net.Pipe()
+	client := NewClient(hostEnd)
+	defer client.Close()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	client.OnDown(func(error) {
+		close(entered)
+		<-release
+	})
+	nodeEnd.Close()
+	<-entered // the client is closed; the callback has not returned
+
+	done := make(chan error, 1)
+	go func() { done <- client.Go(&protocol.NodeStatusReq{}, nil).Wait() }()
+	select {
+	case err := <-done:
+		t.Fatalf("late call failed (%v) before the OnDown callback returned", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("late call on a dead connection succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("late call hung after the OnDown callback returned")
+	}
+}

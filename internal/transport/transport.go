@@ -22,15 +22,13 @@
 // is sticky: every in-flight and subsequent future resolves to the same
 // error.
 //
-// Once the Hello handshake negotiates wire v3, the client's write side
-// coalesces: requests queue to a writer goroutine that drains whatever has
-// accumulated, packs runs of small frames into Batch envelopes, and ships
-// them with one write — flushing whenever the queue drains, so an idle
-// connection never waits on a timer. The server unpacks envelopes into the
-// same per-connection FIFO dispatch (preserving the pipeline's ordering
-// invariant) and coalesces the responses of each envelope symmetrically.
-// Against a v2 peer the write path is byte-identical to the pre-batching
-// runtime: one frame, one write.
+// The client's write side always coalesces: requests queue to a writer
+// goroutine that drains whatever has accumulated, packs runs of small
+// frames into Batch envelopes, and ships them with one write — flushing
+// whenever the queue drains, so an idle connection never waits on a timer.
+// The server unpacks envelopes into the same per-connection FIFO dispatch
+// (preserving the pipeline's ordering invariant) and coalesces the
+// responses of each envelope symmetrically.
 //
 // Two transports are provided: real TCP (used by cmd/haocl-node and the
 // integration tests) and an in-process pipe network (used by unit tests and
@@ -91,16 +89,14 @@ var ErrClosed = errors.New("transport: connection closed")
 type Client struct {
 	conn net.Conn
 
-	// writeMu serializes direct frame writes (pre-negotiation v2 path)
-	// and guards the coalescer state. The writer goroutine itself writes
-	// without holding it: once batching is on, every frame goes through
-	// the queue, so the two write paths never overlap.
+	// writeMu guards the coalescer state. The writer goroutine itself
+	// writes without holding it: every frame goes through the queue, so
+	// it is the connection's only writer.
 	writeMu    sync.Mutex
 	writeCh    *sync.Cond // wakes the writer when frames are queued
 	spaceCh    *sync.Cond // wakes producers when the queue drains
 	queue      []outFrame // guarded by writeMu
 	queueBytes int        // guarded by writeMu
-	batching   bool       // guarded by writeMu
 	sendDead   bool       // guarded by writeMu; write side failed or closed, queue abandoned
 
 	mu      sync.Mutex
@@ -108,6 +104,12 @@ type Client struct {
 	closed  bool                            // guarded by mu
 	readErr error                           // guarded by mu
 	onDown  func(error)                     // guarded by mu
+
+	// downed is closed once the failure has been announced: the OnDown
+	// callback, if any, has returned. A call issued on a connection that
+	// is already failing waits for it, so no future fails before the
+	// callback's effects are visible.
+	downed chan struct{}
 
 	nextID atomic.Uint64
 }
@@ -127,6 +129,7 @@ func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
 		pending: make(map[uint64]chan *protocol.Frame),
+		downed:  make(chan struct{}),
 	}
 	c.writeCh = sync.NewCond(&c.writeMu)
 	c.spaceCh = sync.NewCond(&c.writeMu)
@@ -136,21 +139,9 @@ func NewClient(conn net.Conn) *Client {
 }
 
 // maxQueuedBytes bounds the body bytes buffered in the coalescer queue.
-// Producers block once it is reached, restoring the write backpressure the
-// blocking one-frame-per-write path provided naturally — without it a host
-// pipelining bulk writes over a slow link could queue without bound.
+// Producers block once it is reached — without it a host pipelining bulk
+// writes over a slow link could queue without bound.
 const maxQueuedBytes = 8 << 20
-
-// EnableBatching switches the write side to the wire v3 coalescer. Call it
-// once, after the Hello handshake negotiates VersionBatch and before
-// further traffic; frames already being written directly and frames queued
-// afterwards are serialized by writeMu, so the switch cannot reorder or
-// interleave them.
-func (c *Client) EnableBatching() {
-	c.writeMu.Lock()
-	c.batching = true
-	c.writeMu.Unlock()
-}
 
 func (c *Client) readLoop() {
 	for {
@@ -339,8 +330,11 @@ func (c *Client) failAll(err error) {
 	// pending futures unblock: a waiter that sees the sticky error must be
 	// able to observe whatever state the callback established (the host
 	// marks the node dead here, so command failures classify as node-loss).
-	if first && down != nil {
-		down(sticky)
+	if first {
+		if down != nil {
+			down(sticky)
+		}
+		close(c.downed)
 	}
 	for _, ch := range pending {
 		close(ch)
@@ -351,7 +345,8 @@ func (c *Client) failAll(err error) {
 // that detects the failure, when the connection dies (read error, send
 // error, or Close). The callback receives the sticky connection error.
 // Registering after the connection already died invokes the callback
-// immediately.
+// immediately. The callback must not issue calls on this client: calls
+// made while the connection is failing wait for the callback to return.
 func (c *Client) OnDown(fn func(error)) {
 	c.mu.Lock()
 	if c.closed {
@@ -384,8 +379,8 @@ type Pending struct {
 // be nil when the caller only needs the acknowledgement). Frames from
 // concurrent Go calls are written whole, but callers needing a defined
 // wire order across several Go calls must serialize the calls themselves.
-// With batching negotiated, Go returns once the frame is queued to the
-// coalescing writer; the queue preserves Go-call order.
+// Go returns once the frame is queued to the coalescing writer; the queue
+// preserves Go-call order.
 //
 // A bulk payload (a WriteBufferReq or PeerPushReq above
 // protocol.BatchableBodyLimit) is sent by reference, not copied: the
@@ -398,12 +393,9 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 
 	c.mu.Lock()
 	if c.closed {
-		err := c.readErr
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		p.settle(err)
+		<-c.downed
+		p.settle(c.sticky())
 		return p
 	}
 	c.pending[id] = p.ch
@@ -412,43 +404,30 @@ func (c *Client) Go(req protocol.Message, resp protocol.Message) *Pending {
 	frame := encodeFrame(protocol.FrameRequest, id, req.Op(), req)
 	if n := frame.bodyLen(); n > protocol.MaxFrameSize {
 		// Reject before queueing so an unsendable frame fails only its
-		// own call — on the coalescing path a late size error would be
+		// own call — a late size error in the writer would be
 		// connection-fatal.
 		c.forget(id)
 		p.settle(fmt.Errorf("send %s: %w: %d bytes", req.Op(), protocol.ErrFrameTooBig, n))
 		return p
 	}
 	c.writeMu.Lock()
-	for c.batching && c.queueBytes >= maxQueuedBytes && !c.sendDead {
+	for c.queueBytes >= maxQueuedBytes && !c.sendDead {
 		c.spaceCh.Wait()
 	}
 	if c.sendDead {
 		c.writeMu.Unlock()
+		<-c.downed
 		c.forget(id)
 		p.settle(fmt.Errorf("send %s: %w", req.Op(), c.sticky()))
 		return p
 	}
-	if c.batching {
-		c.queue = append(c.queue, frame)
-		// Count the wire size, not just the body: zero-body control
-		// frames (status polls, shutdown) must still hit the cap, or a
-		// producer outpacing a stalled writer queues without bound.
-		c.queueBytes += protocol.FrameWireSize(frame.Frame) + frame.bulk.Len()
-		c.writeCh.Signal()
-		c.writeMu.Unlock()
-		return p
-	}
-	var err error
-	if frame.bulk != nil {
-		err = protocol.WriteFrameTo(c.conn, frame.Frame, frame.bulk)
-	} else {
-		err = protocol.WriteFrame(c.conn, frame.Frame)
-	}
+	c.queue = append(c.queue, frame)
+	// Count the wire size, not just the body: zero-body control frames
+	// (status polls, shutdown) must still hit the cap, or a producer
+	// outpacing a stalled writer queues without bound.
+	c.queueBytes += protocol.FrameWireSize(frame.Frame) + frame.bulk.Len()
+	c.writeCh.Signal()
 	c.writeMu.Unlock()
-	if err != nil {
-		c.forget(id)
-		p.settle(fmt.Errorf("send %s: %w", req.Op(), err))
-	}
 	return p
 }
 
@@ -551,13 +530,6 @@ func (c *Client) Close() error {
 type Server struct {
 	factory func() Handler
 
-	// wireVersion caps the wire version this server accepts on its
-	// connections (0 = protocol.Version). A server capped below
-	// VersionBatch drops connections that send Batch envelopes, so a
-	// v2-pinned node behaves like a genuine pre-batching peer instead of
-	// relying on host-side self-restraint.
-	wireVersion uint32
-
 	mu     sync.Mutex
 	ln     net.Listener          // guarded by mu
 	conns  map[net.Conn]struct{} // guarded by mu
@@ -578,15 +550,6 @@ func NewServer(factory func() Handler) *Server {
 // handler, for tests and single-session tools.
 func NewStaticServer(h Handler) *Server {
 	return NewServer(func() Handler { return h })
-}
-
-// LimitWireVersion caps the wire version the server accepts (0 = current).
-// Call before Listen/ServeConn.
-func (s *Server) LimitWireVersion(v uint32) { s.wireVersion = v }
-
-// acceptsBatches reports whether connections may send Batch envelopes.
-func (s *Server) acceptsBatches() bool {
-	return s.wireVersion == 0 || s.wireVersion >= protocol.VersionBatch
 }
 
 // Listen starts accepting on a TCP address and returns the bound address
@@ -651,9 +614,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 				return
 			}
 			if f.Kind == protocol.FrameBatch {
-				if !s.acceptsBatches() {
-					return // batch traffic beyond the negotiated version
-				}
 				subs, err := protocol.DecodeBatch(f)
 				if err != nil {
 					return // malformed envelope: framing is poisoned

@@ -6,8 +6,8 @@ pipes the files through this checker; it exits non-zero when a report
 violates a design invariant. The rules are keyed off the report's
 "experiment" field:
 
-pipeline / batch / lanes
-    Batching, pipelining and dispatch lanes must never change simulated
+pipeline / lanes
+    Pipelining, coalescing and dispatch lanes must never change simulated
     time; every comparison must report virtual_match. For lanes this is
     the load-bearing assertion: a 1-lane and an N-lane node must produce
     bit-identical virtual makespans (DESIGN.md §4).
@@ -60,7 +60,6 @@ import sys
 
 DEFAULT_REPORTS = [
     "bench-pipeline.json",
-    "bench-batch.json",
     "bench-lanes.json",
     "bench-coherence.json",
     "bench-p2p.json",
@@ -148,7 +147,7 @@ def check_report(name, rep):
     comparisons = rep.get("comparisons") or []
     rows = rep.get("rows") or []
 
-    if exp in ("pipeline", "batch", "lanes"):
+    if exp in ("pipeline", "lanes"):
         for c in comparisons:
             if not c["virtual_match"]:
                 bad.append((name, c["workload"], "makespan diverged"))

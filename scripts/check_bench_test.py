@@ -24,7 +24,7 @@ def comparison(workload="w", virtual_match=True, **kw):
 
 class VirtualMatchExperiments(unittest.TestCase):
     def test_clean_report_passes(self):
-        for exp in ("pipeline", "batch", "lanes"):
+        for exp in ("pipeline", "lanes"):
             rep = report(exp, [comparison()])
             self.assertEqual(check_bench.check_report("r", rep), [])
 
@@ -217,7 +217,7 @@ class Main(unittest.TestCase):
         # the same tool CI runs; the checker must accept them as-is.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         paths = [os.path.join(root, n) for n in (
-            "BENCH_pipeline.json", "BENCH_batch.json", "BENCH_lanes.json",
+            "BENCH_pipeline.json", "BENCH_lanes.json",
             "BENCH_coherence.json", "BENCH_p2p.json", "BENCH_chaos.json",
             "BENCH_serve.json")]
         for p in paths:
